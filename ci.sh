@@ -7,10 +7,10 @@ echo "== build (release) =="
 cargo build --release --workspace
 
 echo "== branch-lab CLI =="
-# The registry-backed CLI is the single entry point every study bin shims
-# into: `list` exercises registry wiring, and the smoke sweep drives the
-# single-pass engine end-to-end (lockstep predictors + lane replay) on a
-# trace small enough to finish in well under a second.
+# The registry-backed CLI is the only study binary: `list` exercises
+# registry wiring, and the smoke sweep drives the single-pass engine
+# end-to-end (lockstep predictors + lane replay) on a trace small enough
+# to finish in well under a second.
 target/release/branch-lab list > /dev/null
 BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
     target/release/branch-lab sweep --workload streaming \
@@ -26,9 +26,10 @@ BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
     cargo test --release -q --test golden --test metrics_manifest
 
 echo "== decode robustness =="
-# Every file in the checked-in corpus of damaged BPTR traces (all three
-# format versions) must decode to a structured error — never a panic or
-# a hostile-length-sized allocation — and the 100M-branch scale run must
+# Every file in the checked-in corpus of damaged v3 BPTR traces and
+# retired v1/v2 headers must decode to a structured error (the legacy
+# headers to exactly UnsupportedVersion) — never a panic or a
+# hostile-length-sized allocation — and the 100M-branch scale run must
 # round-trip at ≤ 1 byte/inst with peak RSS independent of trace length.
 cargo test --release -q -p bp-trace --test decode_robustness
 cargo test --release -q --test streaming_scale -- --include-ignored
@@ -68,10 +69,10 @@ grep -q "sampled replay: interval" "$SAMPLED_OUT/t1.txt" \
 echo "== fault injection =="
 cargo test --release -q --test fault_tolerance
 
-# One keep-going sweep with a deterministically injected child failure:
-# the runner must finish the other children, print the summary table,
-# write a partial all.json naming the failed child, and exit nonzero —
-# then a --resume run must re-run only the failed child.
+# One keep-going sweep with a deterministically injected study failure:
+# the runner must finish the other studies, print the summary table,
+# write a partial all.json naming the failed study, and exit nonzero —
+# then a --resume run must re-run only the failed study.
 FAULT_SINK=target/ci-fault-metrics
 rm -rf "$FAULT_SINK" && mkdir -p "$FAULT_SINK"
 set +e
@@ -79,7 +80,7 @@ BRANCH_LAB_FAULTS=all.child.fig3:fail \
 BRANCH_LAB_METRICS="$FAULT_SINK" \
 BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
 BRANCH_LAB_RETRY_DELAY_MS=10 \
-    target/release/all --keep-going --quick \
+    target/release/branch-lab all --keep-going --quick \
     > "$FAULT_SINK/all.log" 2> "$FAULT_SINK/all.err"
 rc=$?
 set -e
@@ -92,7 +93,7 @@ grep -q '"fig4": "ok"' "$FAULT_SINK/all.json"
 
 BRANCH_LAB_METRICS="$FAULT_SINK" \
 BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
-    target/release/all --keep-going --resume --quick \
+    target/release/branch-lab all --keep-going --resume --quick \
     > "$FAULT_SINK/resume.log" 2> "$FAULT_SINK/resume.err"
 [ "$(grep -c 'skipped: already succeeded' "$FAULT_SINK/resume.log")" -eq 15 ] \
     || { echo "fault leg: resume should skip the 15 checkpointed children"; exit 1; }

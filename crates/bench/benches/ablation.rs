@@ -1,7 +1,7 @@
 //! Ablation benches for the design choices called out in DESIGN.md:
 //! predictor-component cost (TAGE vs TAGE-L vs TAGE-SC-L), history-length
 //! limits, and float vs 2-bit CNN inference. Accuracy-side ablations live
-//! in `cargo run -p bp-experiments --bin ablation`.
+//! in `cargo run --release --bin branch-lab -- run ablation`.
 
 use bp_bench::BenchGroup;
 use bp_helpers::{CnnNet, HistoryEncoder};

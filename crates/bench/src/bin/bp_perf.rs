@@ -14,7 +14,7 @@
 //!   (`bp_pipeline::run`): predictor replay + timing simulation, on a
 //!   SPECint-like and an LCF-like trace;
 //! * `sweep/storage-8pt` — one workload of the Fig. 7 storage sweep on
-//!   the single-pass engine (`sweep_flags` + one prepared `SweepReplay`
+//!   the single-pass engine (`sweep_flags_stream` + one prepared `SweepReplay`
 //!   driving all eight lanes at every pipeline scale), with
 //!   `sweep/storage-8pt-per-config` keeping the per-config shape it
 //!   replaced so the speedup stays pinned;
@@ -52,7 +52,8 @@ use std::process::ExitCode;
 use bp_bench::perf::{self, PerfReport};
 use bp_pipeline::{simulate, simulate_interleaved, InterleaveGroup, PipelineConfig, SweepReplay};
 use bp_predictors::{
-    misprediction_flags, sweep_flags, DirectionPredictor, PredictorSpec, TageScL, TageSclConfig,
+    misprediction_flags, sweep_flags_stream, DirectionPredictor, PredictorSpec, TageScL,
+    TageSclConfig,
 };
 use bp_trace::{BptrReader, TraceReader};
 use bp_workloads::{lcf_suite, specint_suite};
@@ -245,7 +246,8 @@ fn run_suite(opts: &Options) -> PerfReport {
                         as Box<dyn DirectionPredictor>
                 })
                 .collect();
-            let per_storage = sweep_flags(&mut predictors, &lcf_trace);
+            let per_storage = sweep_flags_stream(&mut predictors, lcf_trace.reader())
+                .expect("in-memory reader cannot fail");
             let perfect = vec![false; lcf_trace.conditional_branch_count()];
             let mut lanes: Vec<&[bool]> = Vec::with_capacity(per_storage.len() + 2);
             lanes.push(&per_storage[0]);
@@ -307,7 +309,8 @@ fn run_suite(opts: &Options) -> PerfReport {
         samples,
         || {
             let mut predictors = PredictorSpec::build_all(&grid_specs);
-            let per_spec = sweep_flags(&mut predictors, &lcf_trace);
+            let per_spec = sweep_flags_stream(&mut predictors, lcf_trace.reader())
+                .expect("in-memory reader cannot fail");
             let lanes: Vec<&[bool]> = per_spec.iter().map(Vec::as_slice).collect();
             let sweep = SweepReplay::new(&lcf_trace, &cfg);
             let mut cycles = 0u64;
@@ -347,11 +350,13 @@ fn run_suite(opts: &Options) -> PerfReport {
     // the aggregate lane-records/s ceiling every sweep study shares.
     let spec_grid_flags: Vec<Vec<bool>> = {
         let mut predictors = PredictorSpec::build_all(&grid_specs);
-        sweep_flags(&mut predictors, &spec_trace)
+        sweep_flags_stream(&mut predictors, spec_trace.reader())
+            .expect("in-memory reader cannot fail")
     };
     let lcf_grid_flags: Vec<Vec<bool>> = {
         let mut predictors = PredictorSpec::build_all(&grid_specs);
-        sweep_flags(&mut predictors, &lcf_trace)
+        sweep_flags_stream(&mut predictors, lcf_trace.reader())
+            .expect("in-memory reader cannot fail")
     };
     let spec_lanes: Vec<&[bool]> = spec_grid_flags.iter().map(Vec::as_slice).collect();
     let lcf_lanes: Vec<&[bool]> = lcf_grid_flags.iter().map(Vec::as_slice).collect();

@@ -134,37 +134,24 @@ fn mean(v: &[f64]) -> f64 {
 
 /// Characterizes a workload across all of its (configured) inputs, using a
 /// fresh predictor per input from `make_predictor`. Inputs run in parallel
-/// on [`Engine::from_env`]; traces come from the shared
-/// [`bp_workloads::TraceStore`].
+/// on `engine`; traces come from the shared [`bp_workloads::TraceStore`].
+/// Per-input results are aggregated in input order, so the outcome is
+/// thread-count independent.
 ///
 /// # Examples
 ///
 /// ```
-/// use bp_core::{characterize_workload, DatasetConfig};
+/// use bp_core::{characterize_workload_with, DatasetConfig, Engine};
 /// use bp_predictors::TageScL;
 /// use bp_workloads::specint_suite;
 ///
 /// let spec = &specint_suite()[1];
-/// let c = characterize_workload(spec, &DatasetConfig::quick(), || TageScL::kb8());
+/// let c = characterize_workload_with(Engine::from_env(), spec, &DatasetConfig::quick(), || {
+///     TageScL::kb8()
+/// });
 /// assert_eq!(c.name, spec.name);
 /// assert!(c.avg_accuracy > 0.5);
 /// ```
-#[must_use]
-pub fn characterize_workload<P, F>(
-    spec: &WorkloadSpec,
-    config: &DatasetConfig,
-    make_predictor: F,
-) -> WorkloadCharacterization
-where
-    P: DirectionPredictor,
-    F: Fn() -> P + Sync,
-{
-    characterize_workload_with(Engine::from_env(), spec, config, make_predictor)
-}
-
-/// [`characterize_workload`] on an explicit [`Engine`]. Per-input results
-/// are aggregated in input order, so the outcome is thread-count
-/// independent.
 #[must_use]
 pub fn characterize_workload_with<P, F>(
     engine: Engine,
@@ -265,7 +252,7 @@ mod tests {
     fn characterizes_mcf_like_workload() {
         let spec = &specint_suite()[1]; // mcf-like: H2P-heavy
         let cfg = DatasetConfig::quick();
-        let c = characterize_workload(spec, &cfg, TageScL::kb8);
+        let c = characterize_workload_with(Engine::from_env(), spec, &cfg, TageScL::kb8);
         assert_eq!(c.inputs.len(), 2);
         assert!(c.avg_accuracy > 0.6 && c.avg_accuracy < 1.0);
         // mcf-like must expose H2Ps that dominate mispredictions.
@@ -286,7 +273,7 @@ mod tests {
             max_inputs: Some(3),
             ..DatasetConfig::quick()
         };
-        let c = characterize_workload(spec, &cfg, TageScL::kb8);
+        let c = characterize_workload_with(Engine::from_env(), spec, &cfg, TageScL::kb8);
         // The same static H2P sites should appear in all 3 inputs
         // (program structure is input-independent).
         assert!(
@@ -300,7 +287,7 @@ mod tests {
     fn phases_are_detected() {
         let spec = &specint_suite()[0];
         let cfg = DatasetConfig::quick();
-        let c = characterize_workload(spec, &cfg, TageScL::kb8);
+        let c = characterize_workload_with(Engine::from_env(), spec, &cfg, TageScL::kb8);
         assert!(c.avg_phases >= 1.0);
     }
 }

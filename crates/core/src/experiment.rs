@@ -2,7 +2,7 @@
 //!
 //! All studies share one structure: step every predictor configuration
 //! through **one** pass over the trace
-//! ([`sweep_flags`](bp_predictors::sweep_flags)) to get misprediction
+//! ([`sweep_flags_stream`](bp_predictors::sweep_flags_stream)) to get misprediction
 //! streams, then replay those streams in lockstep through the pipeline
 //! timing model ([`SweepReplay`]) at several capacity scalings.
 //! Misprediction streams are scale-independent, so each predictor pass is
@@ -15,8 +15,8 @@ use std::sync::Arc;
 use bp_analysis::{BranchProfile, H2pCriteria};
 use bp_pipeline::{simulate, PipelineConfig, SweepReplay};
 use bp_predictors::{
-    misprediction_flags, sweep_flags, sweep_flags_stream, DirectionPredictor, PerfectSetOracle,
-    PredictorSpec, TageScL, TageSclConfig,
+    misprediction_flags, sweep_flags_stream, DirectionPredictor, PerfectSetOracle, PredictorSpec,
+    TageScL, TageSclConfig,
 };
 use bp_trace::Trace;
 use bp_workloads::{TraceStore, WorkloadSpec};
@@ -95,7 +95,8 @@ fn streams_for(spec: &WorkloadSpec, config: &DatasetConfig) -> WorkloadStreams {
         Box::new(TageScL::kb64()),
         Box::new(PerfectSetOracle::new(TageScL::kb8(), h2ps)),
     ];
-    let mut flags = sweep_flags(&mut predictors, &trace);
+    let mut flags =
+        sweep_flags_stream(&mut predictors, trace.reader()).expect("in-memory reader cannot fail");
     let perfect_h2p_flags = flags.pop().expect("three streams");
     let tage64_flags = flags.pop().expect("two streams");
     let tage8_flags = flags.pop().expect("one stream");
@@ -111,15 +112,9 @@ fn streams_for(spec: &WorkloadSpec, config: &DatasetConfig) -> WorkloadStreams {
 
 /// Runs the Fig. 1 (SPECint) / Fig. 5 (LCF) pipeline-scaling study over
 /// `specs`, reporting IPC relative to TAGE-SC-L 8KB at 1x (geometric mean
-/// across workloads). Workloads run in parallel on [`Engine::from_env`].
-#[must_use]
-pub fn scaling_study(specs: &[WorkloadSpec], config: &DatasetConfig) -> ScalingStudy {
-    scaling_study_with(Engine::from_env(), specs, config)
-}
-
-/// [`scaling_study`] on an explicit [`Engine`]. Results are identical for
-/// any thread count: per-workload log-ratios are computed independently
-/// and reduced serially in workload order.
+/// across workloads). Workloads run in parallel on `engine`; results are
+/// identical for any thread count: per-workload log-ratios are computed
+/// independently and reduced serially in workload order.
 #[must_use]
 pub fn scaling_study_with(
     engine: Engine,
@@ -199,18 +194,9 @@ pub struct StorageScalingStudy {
 
 /// Runs the Fig. 7 limit study: TAGE-SC-L storage from 8KB to 1024KB
 /// across pipeline scales, reporting the fraction of the 8KB→perfect IPC
-/// gap closed. Workloads run in parallel on [`Engine::from_env`]; within
-/// a workload, all storage points share a single trace pass
-/// ([`sweep_flags`]) and replay in lockstep ([`SweepReplay`]).
-#[must_use]
-pub fn storage_scaling_study(
-    specs: &[WorkloadSpec],
-    config: &DatasetConfig,
-) -> StorageScalingStudy {
-    storage_scaling_study_with(Engine::from_env(), specs, config)
-}
-
-/// [`storage_scaling_study`] on an explicit [`Engine`].
+/// gap closed. Workloads run in parallel on `engine`; within a workload,
+/// all storage points share a single trace pass ([`sweep_flags_stream`])
+/// and replay in lockstep ([`SweepReplay`]).
 ///
 /// Fully streamed: both the lockstep predictor pass and the replay
 /// preparation consume the trace through [`TraceStore::stream`], so a
@@ -313,15 +299,10 @@ pub struct HeteroGridStudy {
 /// workload, the trace is streamed twice ([`TraceStore::stream`] — once
 /// to train all predictors, once to prepare the replay) regardless of
 /// how many (predictor, scale) cells the grid has, and never
-/// materialized when the on-disk cache holds it.
-#[must_use]
-pub fn hetero_grid_study(workloads: &[WorkloadSpec], config: &DatasetConfig) -> HeteroGridStudy {
-    hetero_grid_study_with(Engine::from_env(), workloads, config)
-}
-
-/// [`hetero_grid_study`] on an explicit [`Engine`]. Results are
-/// identical for any thread count: each workload's grid is computed
-/// independently and collected in workload order.
+/// materialized when the on-disk cache holds it. Workloads run in
+/// parallel on `engine`; results are identical for any thread count:
+/// each workload's grid is computed independently and collected in
+/// workload order.
 #[must_use]
 pub fn hetero_grid_study_with(
     engine: Engine,
@@ -384,13 +365,8 @@ pub struct RareOracleRow {
 /// Runs the Fig. 8 study: on a TAGE-SC-L 1024KB baseline, perfectly
 /// predict all branches above a dynamic-execution threshold and measure
 /// how much of the TAGE8 IPC opportunity remains (attributable to the
-/// rare branches below the threshold).
-#[must_use]
-pub fn rare_oracle_study(specs: &[WorkloadSpec], config: &DatasetConfig) -> Vec<RareOracleRow> {
-    rare_oracle_study_with(Engine::from_env(), specs, config)
-}
-
-/// [`rare_oracle_study`] on an explicit [`Engine`].
+/// rare branches below the threshold). Workloads run in parallel on
+/// `engine`.
 ///
 /// The 1024KB predictor's training sequence is independent of the oracle
 /// set (a [`PerfectSetOracle`] always trains its inner predictor on the
@@ -432,7 +408,8 @@ pub fn rare_oracle_study_with(
             Box::new(TageScL::kb8()),
             Box::new(TageScL::new(TageSclConfig::storage_kb(1024))),
         ];
-        let mut streams = sweep_flags(&mut predictors, &trace);
+        let mut streams = sweep_flags_stream(&mut predictors, trace.reader())
+            .expect("in-memory reader cannot fail");
         let big_flags = streams.pop().expect("two streams");
         let flags8 = streams.pop().expect("one stream");
         let perfect = vec![false; trace.conditional_branch_count()];
@@ -489,7 +466,7 @@ mod tests {
     #[test]
     fn scaling_study_orders_series() {
         let specs = vec![specint_suite()[1].clone()];
-        let study = scaling_study(&specs, &tiny());
+        let study = scaling_study_with(Engine::from_env(), &specs, &tiny());
         // At 1x, TAGE8 is the baseline (1.0) and perfect is above it.
         assert!((study.value("TAGE-SC-L 8KB", 1) - 1.0).abs() < 1e-9);
         assert!(study.value("Perfect BP", 1) > 1.0);
@@ -503,7 +480,7 @@ mod tests {
     #[test]
     fn storage_scaling_fractions_are_sane() {
         let specs = vec![lcf_suite()[5].clone()];
-        let study = storage_scaling_study(&specs, &tiny());
+        let study = storage_scaling_study_with(Engine::from_env(), &specs, &tiny());
         let row = &study.rows[0];
         for per_scale in &row.gap_closed {
             // 8KB closes zero gap by definition.
@@ -517,7 +494,7 @@ mod tests {
     #[test]
     fn rare_oracle_thresholds_nest() {
         let specs = vec![lcf_suite()[1].clone()]; // game-like
-        let rows = rare_oracle_study(&specs, &tiny());
+        let rows = rare_oracle_study_with(Engine::from_env(), &specs, &tiny());
         let r = &rows[0];
         // Fixing more branches (>100 covers more than >1000) leaves less
         // opportunity remaining.

@@ -2,8 +2,9 @@
 //!
 //! Ties the workspace together: dataset construction at a configurable
 //! scale ([`DatasetConfig`]), the Table I/II characterization runner
-//! ([`characterize_workload`]), the IPC limit studies of Figs. 1/5/7/8
-//! ([`scaling_study`], [`storage_scaling_study`], [`rare_oracle_study`]),
+//! ([`characterize_workload_with`]), the IPC limit studies of Figs.
+//! 1/5/7/8 ([`scaling_study_with`], [`storage_scaling_study_with`],
+//! [`rare_oracle_study_with`]), all run on an explicit [`Engine`],
 //! the study registry the `branch-lab` CLI dispatches from ([`Study`],
 //! [`StudyRegistry`]), and plain-text/CSV reporting ([`Table`],
 //! [`Report`]).
@@ -11,12 +12,14 @@
 //! # Examples
 //!
 //! ```
-//! use bp_core::{characterize_workload, DatasetConfig};
+//! use bp_core::{characterize_workload_with, DatasetConfig, Engine};
 //! use bp_predictors::TageScL;
 //! use bp_workloads::specint_suite;
 //!
 //! let leela = &specint_suite()[6];
-//! let c = characterize_workload(leela, &DatasetConfig::quick(), || TageScL::kb8());
+//! let c = characterize_workload_with(Engine::from_env(), leela, &DatasetConfig::quick(), || {
+//!     TageScL::kb8()
+//! });
 //! // leela-like is the least predictable SPECint workload.
 //! assert!(c.avg_accuracy < 0.97);
 //! assert!(!c.h2p_union.is_empty());
@@ -34,15 +37,13 @@ pub mod serve;
 mod study;
 
 pub use characterize::{
-    characterize_input, characterize_workload, characterize_workload_with, InputCharacterization,
-    WorkloadCharacterization,
+    characterize_input, characterize_workload_with, InputCharacterization, WorkloadCharacterization,
 };
 pub use config::{DatasetConfig, ResolvedSampling, SamplingConfig};
 pub use experiment::{
-    hetero_grid_study, hetero_grid_study_with, ipc_of, rare_oracle_study, rare_oracle_study_with,
-    scaling_study, scaling_study_with, storage_scaling_study, storage_scaling_study_with,
-    HeteroGridRow, HeteroGridStudy, RareOracleRow, ScalingSeries, ScalingStudy, StorageScalingRow,
-    StorageScalingStudy,
+    hetero_grid_study_with, ipc_of, rare_oracle_study_with, scaling_study_with,
+    storage_scaling_study_with, HeteroGridRow, HeteroGridStudy, RareOracleRow, ScalingSeries,
+    ScalingStudy, StorageScalingRow, StorageScalingStudy,
 };
 pub use parallel::{thread_count, Engine, TaskError};
 pub use report::{f3, pct, Report, ReportItem, Table};

@@ -1,5 +1,5 @@
 //! Runs every report study in sequence, fault-tolerantly (`branch-lab
-//! all` and the `all` shim binary).
+//! all`).
 //!
 //! The child list is derived from the study registry
 //! ([`crate::registry::registry`], [`bp_core::StudyRegistry::report_names`])
@@ -21,11 +21,10 @@
 //! lose fifteen finished studies to one flaky one, so the runner:
 //!
 //! * retries each failing study once (after a seeded jittered backoff);
-//! * with `--keep-going` (or `BRANCH_LAB_KEEP_GOING=1`) continues past
-//!   ultimately-failed studies instead of aborting;
-//! * cancels studies that exceed `--timeout-secs N` (or
-//!   `BRANCH_LAB_CHILD_TIMEOUT_SECS`; `0` disables the deadline) at the
-//!   next replay-block checkpoint;
+//! * with `--keep-going` continues past ultimately-failed studies
+//!   instead of aborting;
+//! * cancels studies that exceed `--timeout-secs N` (`0` disables the
+//!   deadline) at the next replay-block checkpoint;
 //! * records every success in a checkpoint file (`all.checkpoint` in the
 //!   metrics sink or trace dir) so `all --resume` re-runs only the
 //!   studies that have not succeeded yet;
@@ -70,15 +69,9 @@ struct Options {
 
 impl Options {
     fn parse_from(args: Vec<String>) -> Options {
-        let env_flag = |name: &str| {
-            std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
-        };
-        let env_u64 = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
-        let mut keep_going = env_flag("BRANCH_LAB_KEEP_GOING");
+        let mut keep_going = false;
         let mut resume = false;
-        let mut timeout = env_u64("BRANCH_LAB_CHILD_TIMEOUT_SECS")
-            .filter(|&secs| secs > 0)
-            .map(Duration::from_secs);
+        let mut timeout = None;
         let mut forwarded = Vec::new();
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
@@ -95,7 +88,11 @@ impl Options {
         }
         let cli = Cli::parse_from(forwarded);
         if let Some(first) = cli.rest.first() {
-            panic!("unknown argument {first}; supported: --len N --quick --csv DIR");
+            panic!(
+                "unknown argument {first}; supported: --len N --quick --csv DIR \
+                 --sampled --sample-interval N --sample-warmup N --sample-phases N \
+                 --keep-going --resume --timeout-secs N"
+            );
         }
         Options { keep_going, resume, timeout, cli }
     }
@@ -232,5 +229,48 @@ fn merge_manifests(reports: &[TaskReport]) {
             }
         }
         Err(e) => eprintln!("bp-metrics: failed to merge manifests: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn runner_flags_parse_and_the_rest_forward() {
+        let args = "--keep-going --timeout-secs 5 --quick --len 9000";
+        let opts = Options::parse_from(args.split(' ').map(String::from).collect());
+        assert!(opts.keep_going && !opts.resume);
+        assert_eq!(opts.timeout, Some(Duration::from_secs(5)));
+        assert!(opts.cli.quick);
+        assert_eq!(opts.cli.len, Some(9000));
+        let opts = Options::parse_from(["--timeout-secs", "0"].map(String::from).to_vec());
+        assert_eq!(opts.timeout, None);
+    }
+
+    #[test]
+    fn positional_rejection_names_every_accepted_flag() {
+        let Err(panic) = std::panic::catch_unwind(|| Options::parse_from(vec!["stray".to_owned()]))
+        else {
+            panic!("a positional argument must be rejected");
+        };
+        let msg = panic
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        for flag in [
+            "unknown argument stray",
+            "--len N",
+            "--quick",
+            "--csv DIR",
+            "--sampled",
+            "--sample-interval N",
+            "--sample-warmup N",
+            "--sample-phases N",
+            "--keep-going",
+            "--resume",
+            "--timeout-secs N",
+        ] {
+            assert!(msg.contains(flag), "message lacks {flag}: {msg}");
+        }
     }
 }

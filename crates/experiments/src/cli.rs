@@ -7,20 +7,19 @@
 //! * `branch-lab all [flags]` — run every report study with retries,
 //!   checkpointing and manifest merging ([`crate::all_runner`]);
 //! * `branch-lab sweep --workload W --predictors a,b,c` — ad-hoc
-//!   single-pass predictor sweep on one workload.
+//!   single-pass predictor sweep on one workload;
+//! * `branch-lab serve` — HTTP study server ([`crate::serve`]).
 //!
-//! The per-study binaries (`fig1`, `table2`, …) are one-line shims over
-//! [`study_shim`], so both spellings share argument parsing
-//! ([`crate::Cli`]), metrics plumbing, and output formatting.
+//! Argument parsing for every study lives in [`crate::Cli`].
 
 use bp_core::{StudyCtx, StudyKind, Table};
 use bp_pipeline::{PipelineConfig, SweepReplay};
-use bp_predictors::{sweep_flags, DirectionPredictor, PredictorSpec};
+use bp_predictors::{sweep_flags_stream, DirectionPredictor, PredictorSpec};
 use bp_workloads::{find_workload, workload_names};
 
 use crate::{all_runner, registry, Cli};
 
-/// The single help surface for the unified CLI and all study shims.
+/// The single help surface of the `branch-lab` CLI.
 #[must_use]
 pub fn help_text() -> String {
     let mut s = String::from(
@@ -36,9 +35,6 @@ pub fn help_text() -> String {
          \x20   branch-lab serve [SERVE FLAGS]      HTTP study server with a content-addressed\n\
          \x20                                       result cache (see DESIGN.md \"Serving\")\n\
          \x20   branch-lab help                     this text\n\
-         \n\
-         Every per-study binary (fig1, table2, ...) accepts the same FLAGS and is\n\
-         equivalent to `branch-lab run <study>`.\n\
          \n\
          FLAGS (report studies):\n\
          \x20   --len N               instructions per workload trace (default 1,000,000)\n\
@@ -81,8 +77,6 @@ pub fn help_text() -> String {
          \x20   BRANCH_LAB_CHAOS_SEED         seed for probabilistic faults + retry jitter\n\
          \x20   BRANCH_LAB_MEM_BUDGET         trace-cache memory budget (e.g. 512M); cold\n\
          \x20                                 traces evict and stream from disk when over\n\
-         \x20   BRANCH_LAB_KEEP_GOING         all-runner: same as --keep-going\n\
-         \x20   BRANCH_LAB_CHILD_TIMEOUT_SECS all-runner: same as --timeout-secs (0 = none)\n\
          \x20   BRANCH_LAB_RETRY_DELAY_MS     all-runner: retry backoff base in ms (default 500);\n\
          \x20                                 read by Backoff::from_env, not serve (no retries)\n\
          \x20   BRANCH_LAB_UPDATE_GOLDEN      golden tests: rewrite fixtures instead of diffing\n\
@@ -105,21 +99,15 @@ pub fn help_text() -> String {
     s
 }
 
-/// Entry point shared by every per-study shim binary: parse the standard
-/// flags and run `name` exactly as `branch-lab run <name>` would.
-pub fn study_shim(name: &str) {
-    run_study(name, std::env::args().skip(1).collect());
-}
-
 /// Looks `name` up in the registry and runs it with `args`.
 ///
-/// Report studies reject positional arguments (same message as the
-/// legacy binaries), start a manifest-emitting metrics run, and honour
-/// `--csv`; probe studies consume the positionals.
+/// Report studies reject positional arguments, start a
+/// manifest-emitting metrics run, and honour `--csv`; probe studies
+/// consume the positionals.
 ///
 /// # Panics
 ///
-/// Panics on malformed arguments, as the legacy binaries did.
+/// Panics on malformed arguments.
 pub fn run_study(name: &str, args: Vec<String>) {
     let reg = registry::registry();
     let Some(study) = reg.get(name) else {
@@ -249,7 +237,8 @@ pub fn sweep_report(
     let trace = spec.cached_trace(0, len);
     let mut built: Vec<Box<dyn DirectionPredictor>> =
         specs.iter().map(PredictorSpec::build).collect();
-    let flags = sweep_flags(&mut built, &trace);
+    let flags =
+        sweep_flags_stream(&mut built, trace.reader()).expect("in-memory reader cannot fail");
     let base = PipelineConfig::skylake();
     let sweep = SweepReplay::new(&trace, &base);
     let lanes: Vec<&[bool]> = flags.iter().map(Vec::as_slice).collect();

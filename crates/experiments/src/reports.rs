@@ -17,8 +17,8 @@ use bp_analysis::{
     RecurrenceAnalysis,
 };
 use bp_core::{
-    characterize_workload, f3, hetero_grid_study, pct, rare_oracle_study, scaling_study,
-    storage_scaling_study, DatasetConfig, Table,
+    characterize_workload_with, f3, hetero_grid_study_with, pct, rare_oracle_study_with,
+    scaling_study_with, storage_scaling_study_with, DatasetConfig, Engine, Table,
 };
 use bp_predictors::TageScL;
 use bp_trace::SliceConfig;
@@ -50,7 +50,7 @@ pub fn table1_report(cfg: &DatasetConfig) -> Report {
     let mut means = [0.0f64; 12];
     let suite = specint_suite();
     for spec in &suite {
-        let c = characterize_workload(spec, cfg, TageScL::kb8);
+        let c = characterize_workload_with(Engine::from_env(), spec, cfg, TageScL::kb8);
         let cells = [
             c.avg_phases,
             c.total_static_branches as f64,
@@ -171,7 +171,7 @@ pub fn table2_report(cfg: &DatasetConfig) -> Report {
 /// Fig. 1: IPC vs pipeline capacity scaling for the SPECint suite.
 #[must_use]
 pub fn fig1_report(cfg: &DatasetConfig) -> Report {
-    let study = scaling_study(&specint_suite(), cfg);
+    let study = scaling_study_with(Engine::from_env(), &specint_suite(), cfg);
     let mut table = Table::new(vec![
         "scale",
         "TAGE-SC-L 8KB",
@@ -230,7 +230,7 @@ pub fn fig2_report(cfg: &DatasetConfig) -> Report {
     let mut top5_sum = 0.0;
     let suite = specint_suite();
     for spec in &suite {
-        let c = characterize_workload(spec, cfg, TageScL::kb8);
+        let c = characterize_workload_with(Engine::from_env(), spec, cfg, TageScL::kb8);
         // Merge profiles across inputs; rank the H2P union by executions.
         let mut merged = BranchProfile::new();
         for ic in &c.inputs {
@@ -319,7 +319,7 @@ pub fn fig3_report(cfg: &DatasetConfig) -> Report {
 /// Fig. 5: IPC vs pipeline capacity scaling for the LCF suite.
 #[must_use]
 pub fn fig5_report(cfg: &DatasetConfig) -> Report {
-    let study = scaling_study(&lcf_suite(), cfg);
+    let study = scaling_study_with(Engine::from_env(), &lcf_suite(), cfg);
     let mut table = Table::new(vec![
         "scale",
         "TAGE-SC-L 8KB",
@@ -360,7 +360,7 @@ pub fn fig5_report(cfg: &DatasetConfig) -> Report {
 /// Fig. 7: fraction of the TAGE8→perfect IPC gap closed by storage.
 #[must_use]
 pub fn fig7_report(cfg: &DatasetConfig) -> Report {
-    let study = storage_scaling_study(&lcf_suite(), cfg);
+    let study = storage_scaling_study_with(Engine::from_env(), &lcf_suite(), cfg);
     let mut report = Report::new();
     for (si, &scale) in study.scales.iter().enumerate() {
         let mut headers = vec!["application".to_owned()];
@@ -394,7 +394,7 @@ pub fn fig7_report(cfg: &DatasetConfig) -> Report {
 /// branches above a dynamic-execution threshold.
 #[must_use]
 pub fn fig8_report(cfg: &DatasetConfig) -> Report {
-    let rows = rare_oracle_study(&lcf_suite(), cfg);
+    let rows = rare_oracle_study_with(Engine::from_env(), &lcf_suite(), cfg);
     let mut table = Table::new(vec![
         "application",
         "remaining after perfect >1000",
@@ -476,7 +476,7 @@ pub fn fig9_report(cfg: &DatasetConfig) -> Report {
 /// workload.
 #[must_use]
 pub fn grid_report(cfg: &DatasetConfig) -> Report {
-    let study = hetero_grid_study(&lcf_suite(), cfg);
+    let study = hetero_grid_study_with(Engine::from_env(), &lcf_suite(), cfg);
     let labels: Vec<String> = study.specs.iter().map(|s| s.label()).collect();
     let mut report = Report::new();
     for (si, &scale) in study.scales.iter().enumerate() {

@@ -4,10 +4,10 @@
 //!
 //! Same contract as [`crate::reports`]: each function computes one
 //! study and returns a [`Report`] whose `render()` is byte-identical to
-//! the stdout of the legacy standalone binary. Sweep-shaped studies
+//! the stdout the original standalone binary printed. Sweep-shaped studies
 //! (`baselines`, the `ablation` accuracy tables, `debug_ipc`) step all
 //! their configurations through a single trace pass via
-//! [`bp_predictors::sweep_measure`] / [`bp_pipeline::SweepReplay`]
+//! [`bp_predictors::sweep_measure_stream`] / [`bp_pipeline::SweepReplay`]
 //! instead of re-replaying per configuration.
 
 use bp_analysis::{
@@ -25,7 +25,7 @@ use bp_pipeline::{
     run, PipelineConfig, SampledReplay, SampledStats, SamplePlan, SampleSegment, SweepReplay,
 };
 use bp_predictors::{
-    measure, misprediction_flags, sweep_flags, sweep_measure, DirectionPredictor,
+    measure, misprediction_flags, sweep_flags_stream, sweep_measure_stream, DirectionPredictor,
     PerfectPredictor, Predictor, PredictorSpec, TageConfig, TageScL, TageSclConfig,
 };
 use bp_trace::profile_intervals;
@@ -303,7 +303,7 @@ pub fn alloc_stats_report(cfg: &DatasetConfig) -> Report {
 
 /// §II context: the predictor-generation survey on both suites. All
 /// seven generations score in one pass per workload
-/// ([`sweep_measure`]).
+/// ([`sweep_measure_stream`]).
 #[must_use]
 pub fn baselines_report(cfg: &DatasetConfig) -> Report {
     let mut report = Report::new();
@@ -324,7 +324,8 @@ pub fn baselines_report(cfg: &DatasetConfig) -> Report {
         let trace = spec.cached_trace(0, cfg.trace_len);
         let mut predictors: Vec<Box<dyn DirectionPredictor>> =
             specs.iter().map(PredictorSpec::build).collect();
-        let accs: Vec<f64> = sweep_measure(&mut predictors, &trace)
+        let accs: Vec<f64> = sweep_measure_stream(&mut predictors, trace.reader())
+            .expect("in-memory reader cannot fail")
             .iter()
             .map(bp_predictors::AccuracyStats::accuracy)
             .collect();
@@ -368,7 +369,8 @@ pub fn ablation_report(cfg: &DatasetConfig) -> Report {
             .into_iter()
             .map(|c| Box::new(TageScL::new(c)) as Box<dyn DirectionPredictor>)
             .collect();
-        sweep_measure(&mut predictors, &trace)
+        sweep_measure_stream(&mut predictors, trace.reader())
+            .expect("in-memory reader cannot fail")
             .iter()
             .map(|s| f3(s.accuracy()))
             .collect()
@@ -674,7 +676,8 @@ pub fn debug_ipc_report(which: &str, len: usize) -> Report {
     let trace = spec.cached_trace(0, len);
     let mut predictors: Vec<Box<dyn DirectionPredictor>> =
         vec![Box::new(TageScL::kb8()), Box::new(PerfectPredictor)];
-    let mut streams = sweep_flags(&mut predictors, &trace);
+    let mut streams =
+        sweep_flags_stream(&mut predictors, trace.reader()).expect("in-memory reader cannot fail");
     let perfect_flags = streams.pop().expect("two streams");
     let tage_flags = streams.pop().expect("one stream");
     let mpki = tage_flags.iter().filter(|&&f| f).count() as f64 * 1000.0 / len as f64;

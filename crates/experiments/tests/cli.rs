@@ -5,10 +5,9 @@
 //! summary-table expectations all depend on `report_names()` matching
 //! the legacy hand-maintained BINS array exactly.
 //!
-//! The parity tests run the unified `branch-lab` CLI as a subprocess and
-//! require its stdout to be byte-identical to the legacy golden fixtures
-//! under `tests/golden/` (recorded from the standalone binaries), and to
-//! the per-study shim binaries themselves.
+//! The parity test runs the `branch-lab` CLI as a subprocess and
+//! requires its stdout to be byte-identical to the legacy golden fixtures
+//! under `tests/golden/` (recorded from the standalone binaries).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -102,18 +101,6 @@ fn cli_output_matches_the_legacy_golden_fixtures() {
             "branch-lab run {name} --quick diverged from the legacy fixture"
         );
     }
-}
-
-#[test]
-fn shim_binary_and_unified_cli_agree() {
-    let shim = Command::new(env!("CARGO_BIN_EXE_fig1"))
-        .arg("--quick")
-        .env("BRANCH_LAB_TRACE_DIR", trace_dir())
-        .output()
-        .expect("spawn fig1 shim");
-    let unified = run_cli(&["run", "fig1", "--quick"]);
-    assert!(shim.status.success() && unified.status.success());
-    assert_eq!(shim.stdout, unified.stdout);
 }
 
 #[test]

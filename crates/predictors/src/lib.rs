@@ -57,8 +57,7 @@ pub use ppm::{Ppm, PpmConfig};
 pub use sc::{ScConfig, ScDecision, ScOnly, StatisticalCorrector};
 pub use simple::{AlwaysTaken, Bimodal, GShare, TwoLevelLocal};
 pub use spec::{
-    sweep_flags, sweep_flags_stream, sweep_flags_stream_observed, sweep_measure,
-    sweep_measure_stream, PredictorSpec,
+    sweep_flags_stream, sweep_flags_stream_observed, sweep_measure_stream, PredictorSpec,
 };
 pub use tage::{AllocationTracker, Tage, TageConfig};
 pub use tagescl::{TageScL, TageSclConfig};

@@ -4,9 +4,10 @@
 //! many predictor configurations (six TAGE-SC-L storage points in Fig. 7,
 //! seven predictor generations in the §II survey, three aging policies in
 //! the ablation). [`PredictorSpec`] names each configuration as data, and
-//! [`sweep_flags`] / [`sweep_measure`] step any set of predictors through
-//! **one** pass over the trace's conditional branches instead of
-//! re-iterating (and re-decoding) the trace once per configuration.
+//! [`sweep_flags_stream`] / [`sweep_measure_stream`] step any set of
+//! predictors through **one** pass over the trace's conditional branches
+//! instead of re-iterating (and re-decoding) the trace once per
+//! configuration.
 //!
 //! Each predictor still observes exactly the per-branch sequence it would
 //! see in a solo [`measure`](crate::measure) /
@@ -14,7 +15,7 @@
 //! never interact — so flags, accuracies, and instrumentation counters
 //! are bit-identical to the per-config passes they replace.
 
-use bp_trace::{ReadTraceError, Trace, TraceReader};
+use bp_trace::{ReadTraceError, TraceReader};
 
 use crate::eval::AccuracyStats;
 use crate::oracle::{DirectionPredictor, PerfectPredictor};
@@ -173,7 +174,7 @@ impl PredictorSpec {
     }
 
     /// Builds every spec in `specs`, in order — the lane lineup fed to
-    /// [`sweep_flags`] and friends.
+    /// [`sweep_flags_stream`] and friends.
     #[must_use]
     pub fn build_all(specs: &[PredictorSpec]) -> Vec<Box<dyn DirectionPredictor>> {
         specs.iter().map(PredictorSpec::build).collect()
@@ -332,23 +333,16 @@ fn stream_branch_blocks<R: TraceReader>(
     Ok(())
 }
 
-/// Steps every predictor through one pass over `trace`'s conditional
-/// branches, returning one misprediction-flag stream per predictor (same
-/// order).
+/// Steps every predictor through one pass over the conditional branches
+/// of `reader`, returning one misprediction-flag stream per predictor
+/// (same order). Pass [`Trace::reader`](bp_trace::Trace::reader) for an
+/// in-memory trace; a block-wise file reader never materializes it.
 ///
 /// Equivalent to calling
 /// [`misprediction_flags`](crate::misprediction_flags) once per predictor
 /// — each predictor sees the identical (ip, taken) sequence and produces
 /// the identical flags — but the trace is decoded and iterated once
 /// instead of `predictors.len()` times.
-#[must_use]
-pub fn sweep_flags(predictors: &mut [Box<dyn DirectionPredictor>], trace: &Trace) -> Vec<Vec<bool>> {
-    sweep_flags_stream(predictors, trace.reader()).expect("in-memory reader cannot fail")
-}
-
-/// [`sweep_flags`] over any [`TraceReader`]: the flag streams are
-/// bit-identical to the in-memory sweep, but a block-wise file reader
-/// never materializes the trace.
 ///
 /// # Errors
 ///
@@ -393,18 +387,10 @@ pub fn sweep_flags_stream_observed<R: TraceReader>(
 }
 
 /// Single-pass counterpart of [`measure`](crate::measure): aggregate
-/// accuracy for every predictor from one iteration of the branch stream.
-#[must_use]
-pub fn sweep_measure(
-    predictors: &mut [Box<dyn DirectionPredictor>],
-    trace: &Trace,
-) -> Vec<AccuracyStats> {
-    sweep_measure_stream(predictors, trace.reader()).expect("in-memory reader cannot fail")
-}
-
-/// [`sweep_measure`] over any [`TraceReader`]. With a block-wise file
-/// reader, peak memory is bounded by one decode block regardless of
-/// trace length — the path long-horizon accuracy studies use.
+/// accuracy for every predictor from one iteration of the branch stream
+/// in `reader`. With a block-wise file reader, peak memory is bounded by
+/// one decode block regardless of trace length — the path long-horizon
+/// accuracy studies use.
 ///
 /// # Errors
 ///
@@ -428,7 +414,7 @@ pub fn sweep_measure_stream<R: TraceReader>(
 mod tests {
     use super::*;
     use crate::eval::{measure, misprediction_flags};
-    use bp_trace::{RetiredInst, TraceMeta};
+    use bp_trace::{RetiredInst, Trace, TraceMeta};
 
     fn noisy_trace(n: usize) -> Trace {
         let mut t = Trace::new(TraceMeta::new("spec-test", 0));
@@ -462,7 +448,7 @@ mod tests {
         let t = noisy_trace(4_000);
         let specs = PredictorSpec::survey();
         let mut lockstep: Vec<_> = specs.iter().map(PredictorSpec::build).collect();
-        let swept = sweep_flags(&mut lockstep, &t);
+        let swept = sweep_flags_stream(&mut lockstep, t.reader()).unwrap();
         for (spec, flags) in specs.iter().zip(&swept) {
             let solo = misprediction_flags(spec.build().as_mut(), &t);
             assert_eq!(*flags, solo, "{}", spec.label());
@@ -474,7 +460,7 @@ mod tests {
         let t = noisy_trace(4_000);
         let specs = PredictorSpec::survey();
         let mut lockstep: Vec<_> = specs.iter().map(PredictorSpec::build).collect();
-        let swept = sweep_measure(&mut lockstep, &t);
+        let swept = sweep_measure_stream(&mut lockstep, t.reader()).unwrap();
         for (spec, stats) in specs.iter().zip(&swept) {
             assert_eq!(*stats, measure(spec.build().as_mut(), &t), "{}", spec.label());
         }
@@ -491,14 +477,14 @@ mod tests {
         let specs = PredictorSpec::survey();
 
         let mut mem = specs.iter().map(PredictorSpec::build).collect::<Vec<_>>();
-        let mem_flags = sweep_flags(&mut mem, &t);
+        let mem_flags = sweep_flags_stream(&mut mem, t.reader()).unwrap();
         let mut streamed = specs.iter().map(PredictorSpec::build).collect::<Vec<_>>();
         let reader = bp_trace::BptrReader::new(bytes.as_slice()).unwrap();
         let stream_flags = sweep_flags_stream(&mut streamed, reader).unwrap();
         assert_eq!(mem_flags, stream_flags);
 
         let mut mem = specs.iter().map(PredictorSpec::build).collect::<Vec<_>>();
-        let mem_stats = sweep_measure(&mut mem, &t);
+        let mem_stats = sweep_measure_stream(&mut mem, t.reader()).unwrap();
         let mut streamed = specs.iter().map(PredictorSpec::build).collect::<Vec<_>>();
         let reader = bp_trace::BptrReader::new(bytes.as_slice()).unwrap();
         let stream_stats = sweep_measure_stream(&mut streamed, reader).unwrap();
@@ -578,7 +564,7 @@ mod tests {
     fn perfect_spec_never_mispredicts() {
         let t = noisy_trace(500);
         let mut ps = vec![PredictorSpec::Perfect.build()];
-        let flags = sweep_flags(&mut ps, &t);
+        let flags = sweep_flags_stream(&mut ps, t.reader()).unwrap();
         assert!(flags[0].iter().all(|&f| !f));
     }
 }

@@ -1,13 +1,13 @@
 //! Streaming trace consumption: the [`TraceReader`] trait and the
-//! version-dispatching `BPTR` block decoder.
+//! `BPTR` block decoder.
 //!
 //! Replaying a paper-scale trace (§V-B works with multi-billion
 //! instruction streams) must not require materializing it: everything
-//! downstream — `SweepReplay::prepare`, `sweep_measure`, profile
+//! downstream — `SweepReplay::prepare`, `sweep_measure_stream`, profile
 //! collection — consumes traces chunk-by-chunk through [`TraceReader`].
 //! The in-memory [`Trace`] is just one implementation (a single-chunk
-//! reader over its slice); [`BptrReader`] decodes v1/v2/v3 files with
-//! peak memory bounded by one block, independent of trace length.
+//! reader over its slice); [`BptrReader`] decodes v3 files with peak
+//! memory bounded by one block, independent of trace length.
 //!
 //! Chunk boundaries carry no meaning: a reader may split the stream
 //! anywhere, and consumers must produce identical results for any
@@ -18,14 +18,8 @@ use std::sync::Arc;
 
 use crate::codec_v3::{decode_block, BLOCK_RECORDS, COUNT_UNKNOWN, MAX_BLOCK_PAYLOAD};
 use crate::record::RetiredInst;
-use crate::serialize::{
-    decode_record_v12, fnv1a, ReadTraceError, FNV_OFFSET, MAGIC, MIN_VERSION, V12_RECORD_BYTES,
-    VERSION_V2, VERSION_V3,
-};
+use crate::serialize::{fnv1a, ReadTraceError, FNV_OFFSET, MAGIC, VERSION_V3};
 use crate::trace::{Trace, TraceMeta};
-
-/// Records per chunk when streaming the fat v1/v2 record format.
-const V12_CHUNK: usize = 16 * 1024;
 
 /// A source of retired-instruction records, delivered in arbitrary-size
 /// chunks until exhausted.
@@ -136,15 +130,15 @@ impl Trace {
     }
 }
 
-/// Streaming decoder for every supported `BPTR` version.
+/// Streaming decoder for `BPTR` v3 files.
 ///
 /// The header is parsed in [`BptrReader::new`]; records then stream out
-/// in bounded chunks — one codec block for v3, `V12_CHUNK` fat records
-/// for v1/v2 — so peak memory is independent of trace length. Integrity
-/// is verified incrementally (v3: per-block FNV-1a trailers; v2: a
-/// running digest checked against the file trailer) and the stream must
-/// end exactly where the format says it does: leftover bytes are
-/// `Corrupt("trailing bytes")`, a missing end is an I/O error.
+/// one codec block at a time, so peak memory is independent of trace
+/// length. Integrity is verified incrementally against each block's
+/// FNV-1a trailer, and the stream must end exactly where the format says
+/// it does: leftover bytes are `Corrupt("trailing bytes")`, a missing
+/// end is an I/O error. Any other version is
+/// [`ReadTraceError::UnsupportedVersion`].
 ///
 /// Decode is hostile-input hardened: no header or frame field can cause
 /// an allocation beyond one block's caps ([`BLOCK_RECORDS`],
@@ -152,15 +146,12 @@ impl Trace {
 /// [`ReadTraceError`], never a panic.
 pub struct BptrReader<R> {
     inner: R,
-    version: u16,
     meta: TraceMeta,
-    /// Header-declared record total (`None`: v3 "count unknown").
+    /// Header-declared record total (`None`: "count unknown").
     declared: Option<u64>,
     produced: u64,
     chunk: Vec<RetiredInst>,
     payload: Vec<u8>,
-    /// Running FNV-1a over every byte read, for the v2 file trailer.
-    hash: u64,
     done: bool,
 }
 
@@ -172,40 +163,35 @@ impl<R: Read> BptrReader<R> {
     /// Returns [`ReadTraceError`] on I/O failure, bad magic, an
     /// unsupported version, or malformed metadata.
     pub fn new(mut inner: R) -> Result<Self, ReadTraceError> {
-        let mut hash = FNV_OFFSET;
         let mut magic = [0u8; 4];
-        read_hashed(&mut inner, &mut hash, &mut magic)?;
+        inner.read_exact(&mut magic)?;
         if &magic != MAGIC {
             return Err(ReadTraceError::BadMagic);
         }
         let mut b2 = [0u8; 2];
-        read_hashed(&mut inner, &mut hash, &mut b2)?;
+        inner.read_exact(&mut b2)?;
         let version = u16::from_le_bytes(b2);
-        if !(MIN_VERSION..=VERSION_V3).contains(&version) {
+        if version != VERSION_V3 {
             return Err(ReadTraceError::UnsupportedVersion(version));
         }
-        read_hashed(&mut inner, &mut hash, &mut b2)?;
+        inner.read_exact(&mut b2)?;
         let name_len = usize::from(u16::from_le_bytes(b2));
         let mut name = vec![0u8; name_len];
-        read_hashed(&mut inner, &mut hash, &mut name)?;
+        inner.read_exact(&mut name)?;
         let name = String::from_utf8(name).map_err(|_| ReadTraceError::Corrupt("name"))?;
         let mut b4 = [0u8; 4];
-        read_hashed(&mut inner, &mut hash, &mut b4)?;
+        inner.read_exact(&mut b4)?;
         let input = u32::from_le_bytes(b4);
         let mut b8 = [0u8; 8];
-        read_hashed(&mut inner, &mut hash, &mut b8)?;
+        inner.read_exact(&mut b8)?;
         let count = u64::from_le_bytes(b8);
-        let declared =
-            if version == VERSION_V3 && count == COUNT_UNKNOWN { None } else { Some(count) };
         Ok(BptrReader {
             inner,
-            version,
             meta: TraceMeta { name, input },
-            declared,
+            declared: (count != COUNT_UNKNOWN).then_some(count),
             produced: 0,
             chunk: Vec::new(),
             payload: Vec::new(),
-            hash,
             done: false,
         })
     }
@@ -215,44 +201,21 @@ impl<R: Read> BptrReader<R> {
     pub fn records_read(&self) -> u64 {
         self.produced
     }
+}
 
-    /// The `BPTR` format version of the underlying stream (1–3).
-    #[must_use]
-    pub fn version(&self) -> u16 {
-        self.version
+impl<R: Read> TraceReader for BptrReader<R> {
+    fn meta(&self) -> &TraceMeta {
+        &self.meta
     }
 
-    fn next_chunk_v12(&mut self) -> Result<Option<&[RetiredInst]>, ReadTraceError> {
-        let declared = self.declared.expect("v1/v2 headers always declare a count");
-        let remaining = declared - self.produced;
-        if remaining == 0 {
-            if self.version == VERSION_V2 {
-                // The trailer digests everything before itself, so
-                // snapshot the running hash before consuming it.
-                let computed = self.hash;
-                let mut t = [0u8; 8];
-                self.inner.read_exact(&mut t)?;
-                let stored = u64::from_le_bytes(t);
-                if stored != computed {
-                    return Err(ReadTraceError::ChecksumMismatch { stored, computed });
-                }
-            }
-            expect_eof(&mut self.inner)?;
-            self.done = true;
+    fn len_hint(&self) -> Option<u64> {
+        self.declared
+    }
+
+    fn next_chunk(&mut self) -> Result<Option<&[RetiredInst]>, ReadTraceError> {
+        if self.done {
             return Ok(None);
         }
-        let take = usize::try_from(remaining).unwrap_or(usize::MAX).min(V12_CHUNK);
-        self.chunk.clear();
-        let mut buf = [0u8; V12_RECORD_BYTES];
-        for _ in 0..take {
-            read_hashed(&mut self.inner, &mut self.hash, &mut buf)?;
-            self.chunk.push(decode_record_v12(&buf)?);
-        }
-        self.produced += take as u64;
-        Ok(Some(&self.chunk))
-    }
-
-    fn next_chunk_v3(&mut self) -> Result<Option<&[RetiredInst]>, ReadTraceError> {
         let mut frame = [0u8; 8];
         self.inner.read_exact(&mut frame)?;
         let n_records = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes")) as usize;
@@ -289,33 +252,6 @@ impl<R: Read> BptrReader<R> {
         self.produced += n_records as u64;
         Ok(Some(&self.chunk))
     }
-}
-
-impl<R: Read> TraceReader for BptrReader<R> {
-    fn meta(&self) -> &TraceMeta {
-        &self.meta
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        self.declared
-    }
-
-    fn next_chunk(&mut self) -> Result<Option<&[RetiredInst]>, ReadTraceError> {
-        if self.done {
-            return Ok(None);
-        }
-        if self.version == VERSION_V3 {
-            self.next_chunk_v3()
-        } else {
-            self.next_chunk_v12()
-        }
-    }
-}
-
-fn read_hashed<R: Read>(r: &mut R, hash: &mut u64, buf: &mut [u8]) -> Result<(), ReadTraceError> {
-    r.read_exact(buf)?;
-    fnv1a(hash, buf);
-    Ok(())
 }
 
 /// Reads a block's 8-byte FNV-1a trailer and checks it against the
@@ -396,23 +332,6 @@ mod tests {
             all.extend_from_slice(chunk);
         }
         assert_eq!(r.records_read(), 150_000);
-        assert_eq!(all, t.insts());
-    }
-
-    #[test]
-    fn bptr_reader_streams_v2_in_bounded_chunks() {
-        let t = branchy(40_000);
-        let mut bytes = Vec::new();
-        t.write_to_v2(&mut bytes).unwrap();
-        let mut r = BptrReader::new(bytes.as_slice()).unwrap();
-        let mut all = Vec::new();
-        let mut chunks = 0;
-        while let Some(chunk) = r.next_chunk().unwrap() {
-            assert!(chunk.len() <= V12_CHUNK);
-            all.extend_from_slice(chunk);
-            chunks += 1;
-        }
-        assert!(chunks >= 3, "{chunks}");
         assert_eq!(all, t.insts());
     }
 

@@ -1,10 +1,11 @@
 //! Decode robustness against a checked-in corpus of damaged `BPTR` files.
 //!
 //! Every file under `tests/corpus/` is a deliberately broken trace —
-//! truncated, bit-flipped, or carrying hostile header/frame values — in
-//! each of the three format versions. Decoding any of them must yield a
-//! structured [`ReadTraceError`]: never a panic, never a success, and
-//! never an allocation anywhere near what a hostile length field claims.
+//! truncated, bit-flipped, or carrying hostile header/frame values — or a
+//! header of one of the retired v1/v2 format versions. Decoding any of
+//! them must yield a structured [`ReadTraceError`]: never a panic, never
+//! a success, and never an allocation anywhere near what a hostile
+//! length field claims.
 //!
 //! The corpus is generated deterministically by this file. To regenerate
 //! after a deliberate format change:
@@ -17,8 +18,8 @@ use std::path::PathBuf;
 
 use bp_trace::{BranchKind, InstClass, ReadTraceError, Reg, RetiredInst, Trace, TraceMeta};
 
-/// Records in the corpus base trace; small enough that the fat v1/v2
-/// mutants stay a few tens of KB in the repository.
+/// Records in the corpus base trace; small enough that the mutants stay
+/// a few KB each in the repository.
 const BASE_RECORDS: u64 = 600;
 
 /// Workload name baked into every corpus file; offsets below depend on
@@ -77,16 +78,11 @@ fn v3_bytes() -> Vec<u8> {
     b
 }
 
-fn v2_bytes() -> Vec<u8> {
-    let mut b = Vec::new();
-    base_trace().write_to_v2(&mut b).expect("v2 encode");
-    b
-}
-
-fn v1_bytes() -> Vec<u8> {
-    let mut b = v2_bytes();
-    b.truncate(b.len() - 8); // drop the checksum trailer
-    b[4..6].copy_from_slice(&1u16.to_le_bytes());
+/// The base trace's header as a retired format `version` wrote it: the
+/// header layout never changed, only the version field and what follows.
+fn legacy_header(version: u16) -> Vec<u8> {
+    let mut b = v3_bytes()[..HEADER_LEN].to_vec();
+    b[4..6].copy_from_slice(&version.to_le_bytes());
     b
 }
 
@@ -113,8 +109,6 @@ fn v3_patch_first_payload(mut b: Vec<u8>, off: usize, val: u8) -> Vec<u8> {
 
 /// The full corpus: file name → deliberately damaged bytes.
 fn corpus() -> Vec<(&'static str, Vec<u8>)> {
-    let v1 = v1_bytes();
-    let v2 = v2_bytes();
     let v3 = v3_bytes();
     let v3_first_payload_len = {
         let off = HEADER_LEN + 4;
@@ -123,40 +117,9 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
 
     let mut files: Vec<(&'static str, Vec<u8>)> = Vec::new();
 
-    // --- v1: fat records, no checksum ---
-    files.push(("v1-truncated-mid-record.bptr", v1[..HEADER_LEN + 37 * 100 + 11].to_vec()));
-    files.push(("v1-hostile-count.bptr", with_count(v1.clone(), u64::MAX)));
-    files.push(("v1-trailing-garbage.bptr", {
-        let mut b = v1.clone();
-        b.extend_from_slice(b"stowaway");
-        b
-    }));
-    files.push(("v1-bad-register.bptr", {
-        let mut b = v1.clone();
-        b[HEADER_LEN + 25] = 200; // first record's src1
-        b
-    }));
-
-    // --- v2: fat records + whole-file checksum trailer ---
-    files.push(("v2-truncated-at-trailer.bptr", v2[..v2.len() - 8].to_vec()));
-    files.push(("v2-bitflip-payload.bptr", {
-        let mut b = v2.clone();
-        let mid = b.len() / 2;
-        b[mid] ^= 0x20;
-        b
-    }));
-    files.push(("v2-bitflip-trailer.bptr", {
-        let mut b = v2.clone();
-        let last = b.len() - 1;
-        b[last] ^= 0xFF;
-        b
-    }));
-    files.push(("v2-hostile-count.bptr", with_count(v2.clone(), u64::MAX / 37)));
-    files.push(("v2-trailing-garbage.bptr", {
-        let mut b = v2.clone();
-        b.push(0);
-        b
-    }));
+    // --- retired versions: rejected at the header ---
+    files.push(("legacy-v1-header.bptr", legacy_header(1)));
+    files.push(("legacy-v2-header.bptr", legacy_header(2)));
 
     // --- v3: blocked codec, per-block trailers ---
     files.push(("v3-truncated-mid-block.bptr", v3[..HEADER_LEN + 8 + 40].to_vec()));
@@ -308,12 +271,24 @@ fn every_corpus_file_fails_structurally() {
 }
 
 /// The mutants must be damaged versions of a loadable base: the clean
-/// encodings themselves round-trip.
+/// encoding itself round-trips.
 #[test]
-fn base_encodings_are_loadable() {
-    let t = base_trace();
-    for bytes in [v1_bytes(), v2_bytes(), v3_bytes()] {
-        let back = Trace::read_from(bytes.as_slice()).expect("clean base must load");
-        assert_eq!(back.insts(), t.insts());
+fn base_encoding_is_loadable() {
+    let back = Trace::read_from(v3_bytes().as_slice()).expect("clean base must load");
+    assert_eq!(back.insts(), base_trace().insts());
+}
+
+/// Files in the retired v1/v2 formats fail at the version check with
+/// exactly their version number, before any record is read.
+#[test]
+fn legacy_versions_are_unsupported() {
+    for (name, version) in [
+        ("legacy-v1-header.bptr", 1u16),
+        ("legacy-v2-header.bptr", 2),
+    ] {
+        match Trace::load(corpus_dir().join(name)) {
+            Err(ReadTraceError::UnsupportedVersion(v)) => assert_eq!(v, version, "{name}"),
+            other => panic!("{name}: expected UnsupportedVersion({version}), got {other:?}"),
+        }
     }
 }

@@ -21,9 +21,7 @@
 //!   to one prepared from the in-memory trace.
 
 use branch_lab::pipeline::{simulate, PipelineConfig, SweepReplay};
-use branch_lab::predictors::{
-    sweep_flags, sweep_flags_stream, sweep_flags_stream_observed, PredictorSpec,
-};
+use branch_lab::predictors::{sweep_flags_stream, sweep_flags_stream_observed, PredictorSpec};
 use branch_lab::workloads::{lcf_suite, specint_suite, TraceStore, WorkloadSpec};
 
 /// Replay-differential trace length: enough dynamic branches to exercise
@@ -171,7 +169,7 @@ fn hetero_lane_replay_matches_scalar_simulate() {
     for (wl, input) in matrix() {
         let trace = wl.trace(input, TRACE_LEN);
         let mut predictors = PredictorSpec::build_all(&specs);
-        let flags = sweep_flags(&mut predictors, &trace);
+        let flags = sweep_flags_stream(&mut predictors, trace.reader()).expect("in-memory sweep");
 
         // The full 16-spec group (one 16-wide chunk), then a ragged 19
         // (16 + 2 + 1 chunks) built by repeating three streams.
@@ -194,7 +192,7 @@ fn u64_cycle_fallback_matches_scalar_simulate() {
         PredictorSpec::AlwaysTaken,
     ];
     let mut predictors = PredictorSpec::build_all(&specs);
-    let flags = sweep_flags(&mut predictors, &trace);
+    let flags = sweep_flags_stream(&mut predictors, trace.reader()).expect("in-memory sweep");
     let lanes: Vec<&[bool]> = flags.iter().map(Vec::as_slice).collect();
 
     // A penalty this large overflows u32 cycle words within a few
@@ -215,7 +213,7 @@ fn streamed_prepare_and_sweep_match_in_memory() {
 
     let specs = PredictorSpec::hetero_grid();
     let mut mem_preds = PredictorSpec::build_all(&specs);
-    let mem_flags = sweep_flags(&mut mem_preds, &trace);
+    let mem_flags = sweep_flags_stream(&mut mem_preds, trace.reader()).expect("in-memory sweep");
     let mut stream_preds = PredictorSpec::build_all(&specs);
     let stream_flags =
         sweep_flags_stream(&mut stream_preds, store.stream(wl, 0, TRACE_LEN))

@@ -334,7 +334,8 @@ fn metrics_disabled_registers_nothing() {
     let _ = simulate(&t, &flags, &PipelineConfig::skylake());
     let spec = &branch_lab::workloads::specint_suite()[0];
     let cfg = branch_lab::core::DatasetConfig::quick().with_trace_len(10_000);
-    let _ = branch_lab::core::characterize_workload(spec, &cfg, TageScL::kb8);
+    let engine = branch_lab::core::Engine::from_env();
+    let _ = branch_lab::core::characterize_workload_with(engine, spec, &cfg, TageScL::kb8);
 
     assert!(
         branch_lab::metrics::snapshot_counters().is_empty(),
