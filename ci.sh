@@ -19,6 +19,13 @@ BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
 echo "== test =="
 cargo test -q --workspace
 
+echo "== perfbench =="
+# The study benchmark is a standalone package outside the workspace, so
+# the legs above never build it: build and unit-test it here, so a library
+# change that breaks the benchmark fails CI rather than the next run.
+CARGO_TARGET_DIR=target/perfbench \
+    cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== golden (release) =="
 # Share one trace cache across the golden runs so the leg stays fast; the
 # fixtures themselves are independent of where traces are cached.

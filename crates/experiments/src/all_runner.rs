@@ -32,7 +32,9 @@
 //!   study ultimately failed.
 //!
 //! The remaining flags (`--len`, `--quick`, `--csv`) are the standard
-//! report-study options and apply to every study.
+//! report-study options and apply to every study. The sampling flags are
+//! rejected: report studies never sample, so `branch-lab run sampled` is
+//! the way to sampled replay.
 //!
 //! With `BRANCH_LAB_METRICS` pointing at a sink directory, each study
 //! writes a per-study *delta* manifest there (counters attributed to
@@ -83,6 +85,15 @@ impl Options {
                     let secs: u64 = v.parse().expect("--timeout-secs must be an integer");
                     timeout = (secs > 0).then(|| Duration::from_secs(secs));
                 }
+                // Every study here runs with sampling disabled, and no
+                // report study reads the sampling options: accepting them
+                // would silently do nothing.
+                "--sampled" | "--sample-interval" | "--sample-warmup" | "--sample-phases" => {
+                    panic!(
+                        "{a} is not accepted by `all`: report studies never sample; \
+                         use `branch-lab run sampled {a} ...` for sampled replay"
+                    )
+                }
                 _ => forwarded.push(a),
             }
         }
@@ -90,7 +101,6 @@ impl Options {
         if let Some(first) = cli.rest.first() {
             panic!(
                 "unknown argument {first}; supported: --len N --quick --csv DIR \
-                 --sampled --sample-interval N --sample-warmup N --sample-phases N \
                  --keep-going --resume --timeout-secs N"
             );
         }
@@ -262,15 +272,29 @@ mod tests {
             "--len N",
             "--quick",
             "--csv DIR",
-            "--sampled",
-            "--sample-interval N",
-            "--sample-warmup N",
-            "--sample-phases N",
             "--keep-going",
             "--resume",
             "--timeout-secs N",
         ] {
             assert!(msg.contains(flag), "message lacks {flag}: {msg}");
+        }
+        assert!(!msg.contains("--sample"), "`all` does not accept sampling flags: {msg}");
+    }
+
+    #[test]
+    fn sampling_flags_are_rejected_with_a_pointer_to_run_sampled() {
+        for args in [
+            &["--sampled"][..],
+            &["--quick", "--sample-interval", "5000"],
+            &["--sample-warmup", "100"],
+            &["--sample-phases", "3"],
+        ] {
+            let args: Vec<String> = args.iter().map(|&a| a.to_owned()).collect();
+            let Err(panic) = std::panic::catch_unwind(|| Options::parse_from(args.clone())) else {
+                panic!("{args:?} must be rejected");
+            };
+            let msg = panic.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("branch-lab run sampled"), "{args:?}: {msg}");
         }
     }
 }

@@ -54,7 +54,8 @@ pub fn help_text() -> String {
          \x20   --keep-going       continue past a failing study\n\
          \x20   --resume           skip studies recorded in the checkpoint\n\
          \x20   --timeout-secs N   per-study timeout (0 = none)\n\
-         remaining flags are forwarded to each study.\n\
+         --len, --quick and --csv are forwarded to each study; the sampling\n\
+         flags are rejected (report studies never sample: use `run sampled`).\n\
          \n\
          SWEEP FLAGS:\n\
          \x20   --workload NAME        workload to replay (see names below)\n\

@@ -54,14 +54,13 @@
 //!               [zigzag-varint(target Δ ip) if kind != 0]
 //! ```
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::io::Write;
 
 use crate::isa::BranchKind;
 use crate::record::{BranchInfo, RetiredInst};
 use crate::serialize::{
-    class_code, decode_class, decode_kind, decode_reg, encode_reg, fnv1a, kind_code, write_header,
+    class_code, decode_class, decode_kind, decode_reg, encode_reg, fnv1a, fnv1a_pair, kind_code,
+    write_header,
     ReadTraceError, WriteTraceError, FNV_OFFSET,
 };
 use crate::trace::TraceMeta;
@@ -85,16 +84,26 @@ pub(crate) const COUNT_UNKNOWN: u64 = u64::MAX;
 // ---------------------------------------------------------------------------
 
 /// Appends `v` as an LEB128 varint (1–10 bytes).
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+fn put_varint(out: &mut Vec<u8>, v: u64) {
+    if v < 0x80 {
+        out.push(v as u8);
+        return;
     }
+    // Branch-free: spread the 7-bit groups over the bytes of two words,
+    // set the continuation bit on every byte but the last, store all 16
+    // bytes and drop the unused tail. Trace values are often full-width,
+    // so the 9- and 10-byte forms are common, not a slow path.
+    let len = (64 - v.leading_zeros() as usize).div_ceil(7);
+    let lo = v & ((1 << 56) - 1);
+    let lo = (lo & 0x0fff_ffff) | (lo & 0x00ff_ffff_f000_0000) << 4;
+    let lo = (lo & 0x0000_3fff_0000_3fff) | (lo & 0x0fff_c000_0fff_c000) << 2;
+    let lo = (lo & 0x007f_007f_007f_007f) | (lo & 0x3f80_3f80_3f80_3f80) << 1;
+    let hi = (v >> 56 & 0x7f) | (v >> 63) << 8;
+    let cont = 0x8080_8080_8080_8080_8080_8080_8080_8080u128 & ((1u128 << (8 * (len - 1))) - 1);
+    let word = (u128::from(hi) << 64 | u128::from(lo)) | cont;
+    let at = out.len();
+    out.extend_from_slice(&word.to_le_bytes());
+    out.truncate(at + len);
 }
 
 /// Maps a wrapping difference onto small varints for both directions.
@@ -111,22 +120,41 @@ fn put_delta(out: &mut Vec<u8>, prev: u64, cur: u64) {
     put_varint(out, zigzag(cur.wrapping_sub(prev) as i64));
 }
 
-/// A bitstream built LSB-first within each byte.
+/// A bitstream built LSB-first, 64 bits to a word.
 #[derive(Default)]
 struct BitBuf {
-    bytes: Vec<u8>,
+    words: Vec<u64>,
+    /// The partly filled word after `words`.
+    cur: u64,
     len: usize,
 }
 
 impl BitBuf {
-    fn push(&mut self, bit: bool) {
-        if self.len.is_multiple_of(8) {
-            self.bytes.push(0);
+    /// Appends the low `n` bits of `bits` (`n <= 64`; bits above `n`
+    /// must be zero).
+    fn push_bits(&mut self, bits: u64, n: usize) {
+        let used = self.len % 64;
+        self.cur |= bits << used;
+        self.len += n;
+        if used + n >= 64 {
+            self.words.push(self.cur);
+            self.cur = if used == 0 { 0 } else { bits >> (64 - used) };
         }
-        if bit {
-            *self.bytes.last_mut().expect("just pushed") |= 1 << (self.len % 8);
+    }
+
+    /// Appends the stream as its `⌈len/8⌉` little-endian bytes.
+    fn put(&self, out: &mut Vec<u8>) {
+        let end = out.len() + self.len.div_ceil(8);
+        for w in self.words.iter().chain([&self.cur]) {
+            out.extend_from_slice(&w.to_le_bytes());
         }
-        self.len += 1;
+        out.truncate(end);
+    }
+
+    fn clear(&mut self) {
+        self.words.clear();
+        self.cur = 0;
+        self.len = 0;
     }
 }
 
@@ -193,7 +221,7 @@ impl<'a> Cur<'a> {
 
 /// One unique static descriptor: everything about a record except its
 /// dynamic payload (`taken`, `dst_value`, `mem_addr`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy)]
 struct DictEntry {
     ip: u64,
     /// Branch target (0 for non-branch records, which never read it).
@@ -206,42 +234,118 @@ struct DictEntry {
     dst: u8,
 }
 
-impl DictEntry {
+/// The encoder's form of a [`DictEntry`]: its fixed four bytes, as the
+/// dictionary section stores them (flags, src1, src2, dst), packed into
+/// one word, so comparing or hashing a descriptor takes three word
+/// operations.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct PackedEntry {
+    ip: u64,
+    /// Branch target (0 for non-branch records, which never read it).
+    target: u64,
+    head: u32,
+}
+
+impl PackedEntry {
     fn of(inst: &RetiredInst) -> Self {
         let (kind, target) = match inst.branch {
             Some(b) => (kind_code(b.kind), b.target),
             None => (0, 0),
         };
-        DictEntry {
-            ip: inst.ip,
-            target,
-            class: class_code(inst.class),
-            kind,
-            src1: encode_reg(inst.src1),
-            src2: encode_reg(inst.src2),
-            dst: encode_reg(inst.dst),
+        let head = [
+            class_code(inst.class) | kind << 3,
+            encode_reg(inst.src1),
+            encode_reg(inst.src2),
+            encode_reg(inst.dst),
+        ];
+        PackedEntry { ip: inst.ip, target, head: u32::from_le_bytes(head) }
+    }
+
+    /// True when the entry has a branch kind, and so a target on disk.
+    fn is_branch(&self) -> bool {
+        self.head >> 3 & 0x7 != 0
+    }
+}
+
+/// The encoder's map from dictionary entry to index: open addressing
+/// with linear probing over `u32` slots that hold `stamp << 16 | index`
+/// (a block's indices fit 16 bits). A slot is live only while its stamp
+/// is the current block's, so starting a block is one increment, not a
+/// clear. Keys are compared through the dictionary the indices point
+/// into.
+struct DictTable {
+    slots: Vec<u32>,
+    stamp: u32,
+    /// `64 - log2(slots.len())`: hashes index by their top bits.
+    shift: u32,
+}
+
+const _: () = assert!(BLOCK_RECORDS <= 1 << 16, "dictionary indices must fit a slot's low half");
+
+impl Default for DictTable {
+    fn default() -> Self {
+        DictTable { slots: vec![0; 1 << 10], stamp: 0, shift: 64 - 10 }
+    }
+}
+
+impl DictTable {
+    /// Forgets every entry; called before each block, the first one too.
+    fn next_block(&mut self) {
+        self.stamp += 1;
+        if self.stamp > 0xffff {
+            self.slots.fill(0);
+            self.stamp = 1;
+        }
+    }
+
+    fn slot_of(&self, e: &PackedEntry) -> usize {
+        let h = (e.ip ^ e.target.rotate_left(32) ^ u64::from(e.head) << 24)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (h >> self.shift) as usize
+    }
+
+    /// The index of `e` in `dict`, appending it (and recording the new
+    /// index) if it is not there yet.
+    fn index_of(&mut self, e: PackedEntry, dict: &mut Vec<PackedEntry>) -> usize {
+        let live = self.stamp << 16;
+        let mask = self.slots.len() - 1;
+        let mut i = self.slot_of(&e);
+        loop {
+            let slot = self.slots[i];
+            if slot & 0xffff_0000 != live {
+                break;
+            }
+            let idx = (slot & 0xffff) as usize;
+            if dict[idx] == e {
+                return idx;
+            }
+            i = (i + 1) & mask;
+        }
+        let idx = dict.len();
+        dict.push(e);
+        self.slots[i] = live | idx as u32;
+        // Keep the load under a half so probe runs stay short.
+        if 2 * dict.len() > self.slots.len() {
+            self.grow(dict);
+        }
+        idx
+    }
+
+    /// Doubles the table and re-inserts the block's entries so far.
+    fn grow(&mut self, dict: &[PackedEntry]) {
+        let live = self.stamp << 16;
+        self.slots = vec![0; self.slots.len() * 2];
+        self.shift -= 1;
+        let mask = self.slots.len() - 1;
+        for (idx, e) in dict.iter().enumerate() {
+            let mut i = self.slot_of(e);
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = live | idx as u32;
         }
     }
 }
-
-/// FNV-1a `Hasher` for the encoder's dictionary map: the keys are tiny
-/// fixed-size structs, where SipHash's per-call setup dominates.
-#[derive(Default)]
-struct FnvState(Option<u64>);
-
-impl Hasher for FnvState {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0.unwrap_or(FNV_OFFSET);
-        fnv1a(&mut h, bytes);
-        self.0 = Some(h);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.unwrap_or(FNV_OFFSET)
-    }
-}
-
-type DictMap = HashMap<DictEntry, u32, BuildHasherDefault<FnvState>>;
 
 // ---------------------------------------------------------------------------
 // block encode
@@ -255,15 +359,43 @@ pub(crate) fn encode_block(records: &[RetiredInst], enc: &mut BlockEncoder, out:
     out.clear();
     enc.reset();
 
-    // Pass 1: dictionary in first-appearance order + per-record indices.
-    for inst in records {
-        let entry = DictEntry::of(inst);
-        let next = enc.dict.len() as u32;
-        let idx = *enc.map.entry(entry).or_insert(next);
-        if idx == next {
-            enc.dict.push(entry);
+    // Pass 1, over the records: dictionary indices in first-appearance
+    // order, presence bits, value streams and branch outcomes, none of
+    // which depends on the final dictionary size. Bits gather in a local
+    // word per 64 records.
+    enc.indices.resize(records.len(), 0);
+    let mut last = usize::MAX;
+    let mut prev_mem = 0u64;
+    for (chunk, indices) in records.chunks(64).zip(enc.indices.chunks_mut(64)) {
+        let (mut dstv, mut mem, mut taken, mut n_br) = (0u64, 0u64, 0u64, 0);
+        for (bit, (inst, index)) in chunk.iter().zip(indices).enumerate() {
+            let entry = PackedEntry::of(inst);
+            // Straight-line code makes the format's own prediction, the
+            // previous index + 1, the common case: try it before hashing.
+            let next = last.wrapping_add(1);
+            last = if enc.dict.get(next) == Some(&entry) {
+                next
+            } else {
+                enc.table.index_of(entry, &mut enc.dict)
+            };
+            *index = last as u32;
+            if inst.dst_value != 0 {
+                dstv |= 1 << bit;
+                put_varint(&mut enc.values, inst.dst_value);
+            }
+            if inst.mem_addr != 0 {
+                mem |= 1 << bit;
+                put_delta(&mut enc.mems, prev_mem, inst.mem_addr);
+                prev_mem = inst.mem_addr;
+            }
+            if let Some(b) = inst.branch {
+                taken |= u64::from(b.taken) << n_br;
+                n_br += 1;
+            }
         }
-        enc.indices.push(idx);
+        enc.dstv_bits.push_bits(dstv, chunk.len());
+        enc.mem_bits.push_bits(mem, chunk.len());
+        enc.taken_bits.push_bits(taken, n_br);
     }
     let n_dict = enc.dict.len() as u32;
 
@@ -271,53 +403,45 @@ pub(crate) fn encode_block(records: &[RetiredInst], enc: &mut BlockEncoder, out:
     put_varint(out, u64::from(n_dict));
     let mut prev_ip = 0u64;
     for e in &enc.dict {
-        out.push(e.class | e.kind << 3);
-        out.extend_from_slice(&[e.src1, e.src2, e.dst]);
+        out.extend_from_slice(&e.head.to_le_bytes());
         put_delta(out, prev_ip, e.ip);
         prev_ip = e.ip;
-        if e.kind != 0 {
+        if e.is_branch() {
             put_delta(out, e.ip, e.target);
         }
     }
 
-    // Pass 2: bitstreams + value streams.
+    // Pass 2, over the indices: hit bits against the prediction, which
+    // wraps at the final dictionary size, and varint indices on misses.
     let mut pred = 0u32;
-    let mut prev_mem = 0u64;
-    for (inst, &idx) in records.iter().zip(&enc.indices) {
-        enc.pred_bits.push(idx == pred);
-        if idx != pred {
-            put_varint(&mut enc.misses, u64::from(idx));
+    for indices in enc.indices.chunks(64) {
+        let mut hits = 0u64;
+        for (bit, &idx) in indices.iter().enumerate() {
+            if idx == pred {
+                hits |= 1 << bit;
+            } else {
+                put_varint(&mut enc.misses, u64::from(idx));
+            }
+            pred = if idx + 1 == n_dict { 0 } else { idx + 1 };
         }
-        pred = (idx + 1) % n_dict;
-        enc.dstv_bits.push(inst.dst_value != 0);
-        if inst.dst_value != 0 {
-            put_varint(&mut enc.values, inst.dst_value);
-        }
-        enc.mem_bits.push(inst.mem_addr != 0);
-        if inst.mem_addr != 0 {
-            put_delta(&mut enc.mems, prev_mem, inst.mem_addr);
-            prev_mem = inst.mem_addr;
-        }
-        if let Some(b) = inst.branch {
-            enc.taken_bits.push(b.taken);
-        }
+        enc.pred_bits.push_bits(hits, indices.len());
     }
 
-    out.extend_from_slice(&enc.pred_bits.bytes);
-    out.extend_from_slice(&enc.dstv_bits.bytes);
-    out.extend_from_slice(&enc.mem_bits.bytes);
+    enc.pred_bits.put(out);
+    enc.dstv_bits.put(out);
+    enc.mem_bits.put(out);
     out.extend_from_slice(&enc.misses);
-    out.extend_from_slice(&enc.taken_bits.bytes);
+    enc.taken_bits.put(out);
     out.extend_from_slice(&enc.values);
     out.extend_from_slice(&enc.mems);
     debug_assert!(out.len() <= MAX_BLOCK_PAYLOAD, "payload {} over cap", out.len());
 }
 
-/// Reusable scratch buffers for [`encode_block`].
+/// Reusable scratch state for [`encode_block`].
 #[derive(Default)]
 pub(crate) struct BlockEncoder {
-    map: DictMap,
-    dict: Vec<DictEntry>,
+    table: DictTable,
+    dict: Vec<PackedEntry>,
     indices: Vec<u32>,
     pred_bits: BitBuf,
     dstv_bits: BitBuf,
@@ -330,7 +454,7 @@ pub(crate) struct BlockEncoder {
 
 impl BlockEncoder {
     fn reset(&mut self) {
-        self.map.clear();
+        self.table.next_block();
         self.dict.clear();
         self.indices.clear();
         for bits in [
@@ -339,8 +463,7 @@ impl BlockEncoder {
             &mut self.mem_bits,
             &mut self.taken_bits,
         ] {
-            bits.bytes.clear();
-            bits.len = 0;
+            bits.clear();
         }
         self.misses.clear();
         self.values.clear();
@@ -513,7 +636,9 @@ pub(crate) fn decode_block(
 pub struct TraceWriter<W: Write> {
     inner: W,
     block: Vec<RetiredInst>,
-    payload: Vec<u8>,
+    /// Encoded payloads: the second holds the later of two blocks written
+    /// together.
+    payloads: [Vec<u8>; 2],
     enc: BlockEncoder,
     written: u64,
     declared: Option<u64>,
@@ -533,7 +658,7 @@ impl<W: Write> TraceWriter<W> {
         Ok(TraceWriter {
             inner: writer,
             block: Vec::with_capacity(BLOCK_RECORDS.min(4096)),
-            payload: Vec::new(),
+            payloads: [Vec::new(), Vec::new()],
             enc: BlockEncoder::default(),
             written: 0,
             declared: count,
@@ -554,6 +679,39 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
+    /// Appends a run of records. Whole blocks that line up with the block
+    /// boundary encode straight from `insts`, without passing through the
+    /// writer's block buffer; the output is byte-identical to pushing the
+    /// records one at a time.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from the underlying writer.
+    pub fn push_slice(&mut self, mut insts: &[RetiredInst]) -> Result<(), WriteTraceError> {
+        while !insts.is_empty() {
+            let take = if self.block.is_empty() && insts.len() >= BLOCK_RECORDS {
+                // Two at a time when there are two, so their checksums
+                // hash together.
+                let take = if insts.len() >= 2 * BLOCK_RECORDS { 2 * BLOCK_RECORDS } else { BLOCK_RECORDS };
+                let (blocks, rest) = insts.split_at(take);
+                write_blocks(&mut self.inner, &mut self.enc, &mut self.payloads, blocks)?;
+                insts = rest;
+                take
+            } else {
+                let take = (BLOCK_RECORDS - self.block.len()).min(insts.len());
+                let (head, rest) = insts.split_at(take);
+                self.block.extend_from_slice(head);
+                insts = rest;
+                if self.block.len() == BLOCK_RECORDS {
+                    self.flush_block()?;
+                }
+                take
+            };
+            self.written += take as u64;
+        }
+        Ok(())
+    }
+
     /// Records pushed so far.
     #[must_use]
     pub fn len(&self) -> u64 {
@@ -570,10 +728,8 @@ impl<W: Write> TraceWriter<W> {
         if self.block.is_empty() {
             return Ok(());
         }
-        encode_block(&self.block, &mut self.enc, &mut self.payload);
-        let n = self.block.len() as u32;
+        write_blocks(&mut self.inner, &mut self.enc, &mut self.payloads, &self.block)?;
         self.block.clear();
-        write_framed_block(&mut self.inner, n, &self.payload)?;
         Ok(())
     }
 
@@ -597,22 +753,57 @@ impl<W: Write> TraceWriter<W> {
             );
         }
         self.flush_block()?;
-        write_framed_block(&mut self.inner, 0, &[])?;
+        let end = frame(0, &[]);
+        write_frame(&mut self.inner, &end, &[], checksum(&end, &[]))?;
         self.inner.flush()?;
         Ok(self.inner)
     }
 }
 
-/// Writes one `[n_records][payload_len][payload][fnv]` frame; the
-/// all-zero frame (`n_records == 0`) is the end marker.
-fn write_framed_block<W: Write>(w: &mut W, n_records: u32, payload: &[u8]) -> Result<(), WriteTraceError> {
-    let mut frame = [0u8; 8];
-    frame[0..4].copy_from_slice(&n_records.to_le_bytes());
-    frame[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+/// Encodes `records`, one or two blocks' worth, through the scratch
+/// `enc` and `payloads`, and writes their frames. The checksums of two
+/// blocks hash together ([`fnv1a_pair`]).
+fn write_blocks<W: Write>(
+    w: &mut W,
+    enc: &mut BlockEncoder,
+    [pa, pb]: &mut [Vec<u8>; 2],
+    records: &[RetiredInst],
+) -> Result<(), WriteTraceError> {
+    let (a, b) = records.split_at(records.len().min(BLOCK_RECORDS));
+    encode_block(a, enc, pa);
+    let fa = frame(a.len(), pa);
+    if b.is_empty() {
+        return write_frame(w, &fa, pa, checksum(&fa, pa));
+    }
+    encode_block(b, enc, pb);
+    let fb = frame(b.len(), pb);
+    let (mut ha, mut hb) = (checksum(&fa, &[]), checksum(&fb, &[]));
+    fnv1a_pair(&mut ha, pa, &mut hb, pb);
+    write_frame(w, &fa, pa, ha)?;
+    write_frame(w, &fb, pb, hb)
+}
+
+/// The FNV-1a checksum of a frame and its payload.
+fn checksum(frame: &[u8; 8], payload: &[u8]) -> u64 {
     let mut hash = FNV_OFFSET;
-    fnv1a(&mut hash, &frame);
+    fnv1a(&mut hash, frame);
     fnv1a(&mut hash, payload);
-    w.write_all(&frame)?;
+    hash
+}
+
+/// The `[n_records][payload_len]` head of a block frame; `n_records == 0`
+/// with an empty payload is the end marker.
+fn frame(n_records: usize, payload: &[u8]) -> [u8; 8] {
+    let mut frame = [0u8; 8];
+    frame[0..4].copy_from_slice(&(n_records as u32).to_le_bytes());
+    frame[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame
+}
+
+/// Writes one `[frame][payload][fnv]` block, `hash` covering frame and
+/// payload.
+fn write_frame<W: Write>(w: &mut W, frame: &[u8; 8], payload: &[u8], hash: u64) -> Result<(), WriteTraceError> {
+    w.write_all(frame)?;
     w.write_all(payload)?;
     w.write_all(&hash.to_le_bytes())?;
     Ok(())
@@ -709,6 +900,42 @@ mod tests {
         assert!(matches!(cur.varint(), Err(ReadTraceError::Corrupt("varint"))));
         let mut cur = Cur::new(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]);
         assert_eq!(cur.varint().expect("max u64"), u64::MAX);
+    }
+
+    #[test]
+    fn varint_roundtrips_at_every_length_boundary() {
+        let mut values = vec![0, u64::MAX, u64::MAX - 1];
+        for bits in (7..64).step_by(7) {
+            values.extend([(1 << bits) - 1, 1 << bits, (1 << bits) + 1]);
+        }
+        for v in values {
+            let mut out = vec![0xaa];
+            put_varint(&mut out, v);
+            let len = (64 - v.leading_zeros() as usize).div_ceil(7).max(1);
+            assert_eq!(out.len(), 1 + len, "{v:#x}");
+            let mut cur = Cur::new(&out[1..]);
+            assert_eq!(cur.varint().expect("decodes"), v);
+            assert!(cur.is_done());
+        }
+    }
+
+    #[test]
+    fn bitbuf_packs_unaligned_runs_lsb_first() {
+        let mut bits = BitBuf::default();
+        let mut want = Vec::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for n in [3usize, 64, 0, 61, 7, 64, 1] {
+            x = x.rotate_left(17).wrapping_mul(0x2545_f491_4f6c_dd1d);
+            let word = if n == 64 { x } else { x & ((1 << n) - 1) };
+            bits.push_bits(word, n);
+            want.extend((0..n).map(|b| word >> b & 1 != 0));
+        }
+        let mut out = Vec::new();
+        bits.put(&mut out);
+        assert_eq!(out.len(), want.len().div_ceil(8));
+        for (i, &b) in want.iter().enumerate() {
+            assert_eq!(bit(&out, i), b, "bit {i}");
+        }
     }
 
     #[test]

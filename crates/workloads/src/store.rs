@@ -287,7 +287,7 @@ impl TraceStore {
             let persist_ok = !bp_metrics::faultpoint::should_fail("trace_store.save")
                 && std::fs::create_dir_all(dir).is_ok();
             if persist_ok {
-                let _ = trace.save(dir.join(key.file_name()));
+                let _ = bp_metrics::time("trace_store.save", || trace.save(dir.join(key.file_name())));
             }
         }
         trace
