@@ -221,6 +221,29 @@ smoke --get /metrics > "$SERVE_OUT/metrics.json" 2> /dev/null
 grep -q '"serve.exec": 2' "$SERVE_OUT/metrics.json" \
     || { echo "serve leg: expected exactly 2 executions"; cat "$SERVE_OUT/metrics.json"; exit 1; }
 
+# Lane reuse: two single-predictor sweeps, then their pair. The pair is a
+# new key (cache=miss), but both of its lanes come from the lane store
+# (two lane hits, no new lane computed), and its body is still exactly
+# the CLI's stdout.
+sweep_req() { # <JSON predictor list>
+    echo "{\"workload\": \"streaming\", \"predictors\": [$1], \"scales\": [1, 4], \"len\": 60000}"
+}
+smoke --post /sweep --body "$(sweep_req '"gshare"')" > /dev/null 2>&1
+smoke --post /sweep --body "$(sweep_req '"tage-sc-l-8kb"')" > /dev/null 2>&1
+smoke --post /sweep --body "$(sweep_req '"gshare", "tage-sc-l-8kb"')" \
+    > "$SERVE_OUT/sweep.txt" 2> "$SERVE_OUT/sweep.err"
+grep -q "cache=miss" "$SERVE_OUT/sweep.err" \
+    || { echo "serve leg: a new sweep key must execute"; exit 1; }
+env BRANCH_LAB_TRACE_DIR="${BRANCH_LAB_TRACE_DIR:-target/ci-traces}" \
+    target/release/branch-lab sweep --workload streaming \
+    --predictors gshare,tage-sc-l-8kb --scales 1,4 --len 60000 > "$SERVE_OUT/sweep-cli.txt"
+cmp "$SERVE_OUT/sweep.txt" "$SERVE_OUT/sweep-cli.txt" \
+    || { echo "serve leg: sweep body from stored lanes differs from CLI stdout"; exit 1; }
+smoke --get /metrics > "$SERVE_OUT/metrics-lanes.json" 2> /dev/null
+grep -Eq '"serve.lane.hit": 2,?$' "$SERVE_OUT/metrics-lanes.json" \
+    && grep -Eq '"serve.lane.computed": 2,?$' "$SERVE_OUT/metrics-lanes.json" \
+    || { echo "serve leg: the pair sweep must reuse both stored lanes"; cat "$SERVE_OUT/metrics-lanes.json"; exit 1; }
+
 # Chaos: kill -9, corrupt the fig3 entry on disk as a torn write would,
 # restart on the same cache directory.
 kill -9 "$SERVE_PID" 2> /dev/null || true

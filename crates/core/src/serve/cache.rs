@@ -201,18 +201,25 @@ pub enum Tier {
     Disk,
 }
 
-/// LRU bookkeeping for one tier: keys warmest-last with resident bytes.
-#[derive(Default)]
-struct Lru {
+/// LRU bookkeeping by resident bytes: keys warmest-last. Used by each
+/// result-cache tier, and by any other byte-budgeted store.
+pub struct Lru<K> {
     /// `(key, bytes)`, front = coldest.
-    order: Vec<(CacheKey, u64)>,
+    order: Vec<(K, u64)>,
     resident: u64,
 }
 
-impl Lru {
-    /// Marks `key` as just-used (inserting if new), then returns the
-    /// coldest keys to evict to fit `budget` — never the just-used key.
-    fn note_use(&mut self, key: CacheKey, bytes: u64, budget: Option<u64>) -> Vec<CacheKey> {
+impl<K> Default for Lru<K> {
+    fn default() -> Self {
+        Lru { order: Vec::new(), resident: 0 }
+    }
+}
+
+impl<K: PartialEq> Lru<K> {
+    /// Marks `key` as just-used (inserting it with `bytes` if new), then
+    /// returns the coldest keys to evict to fit `budget`, never the
+    /// just-used key.
+    pub fn note_use(&mut self, key: K, bytes: u64, budget: Option<u64>) -> Vec<K> {
         if let Some(pos) = self.order.iter().position(|(k, _)| *k == key) {
             let entry = self.order.remove(pos);
             self.order.push(entry);
@@ -231,19 +238,26 @@ impl Lru {
         cold
     }
 
-    fn forget(&mut self, key: CacheKey) {
-        if let Some(pos) = self.order.iter().position(|(k, _)| *k == key) {
+    /// Drops `key` (if tracked) and its bytes.
+    pub fn forget(&mut self, key: &K) {
+        if let Some(pos) = self.order.iter().position(|(k, _)| k == key) {
             let (_, b) = self.order.remove(pos);
             self.resident -= b;
         }
+    }
+
+    /// Bytes of every tracked key.
+    #[must_use]
+    pub fn resident(&self) -> u64 {
+        self.resident
     }
 }
 
 /// The two-tier content-addressed result cache.
 pub struct ResultCache {
     mem: Mutex<HashMap<CacheKey, Arc<CacheEntry>>>,
-    mem_lru: Mutex<Lru>,
-    disk_lru: Mutex<Lru>,
+    mem_lru: Mutex<Lru<CacheKey>>,
+    disk_lru: Mutex<Lru<CacheKey>>,
     dir: Option<PathBuf>,
     /// Per-tier resident-byte budget; `None` = unbounded.
     budget: Option<u64>,
@@ -386,7 +400,7 @@ impl ResultCache {
         self.disk_lru
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .forget(key);
+            .forget(&key);
     }
 
     /// Inserts a freshly computed entry into both tiers. The disk write

@@ -60,14 +60,15 @@ pub fn help_text() -> String {
          SWEEP FLAGS:\n\
          \x20   --workload NAME        workload to replay (see names below)\n\
          \x20   --predictors A,B,..    predictor labels, e.g. gshare,tage-sc-l-64kb\n\
-         \x20   --scales N,M,..        pipeline scale factors (default 1)\n\
+         \x20   --scales N,M,..        pipeline scale factors, each 1..=64 (default 1)\n\
          \x20   --len N                instructions to trace (default 200,000)\n\
          \n\
          SERVE FLAGS (each overrides its BRANCH_LAB_SERVE_* variable):\n\
          \x20   --addr HOST:PORT       listen address (default 127.0.0.1:7878; :0 = any free port)\n\
          \x20   --workers N            worker threads (default: cores, capped at 8)\n\
          \x20   --cache-dir DIR        persist results to disk under DIR (default memory-only)\n\
-         \x20   --cache-budget BYTES   per-tier cache budget, e.g. 64M (default unbounded)\n\
+         \x20   --cache-budget BYTES   per-tier cache budget, also bounding the sweep lane\n\
+         \x20                          store, e.g. 64M (default unbounded)\n\
          \x20   --deadline-secs N      default per-request execution deadline (0 = none)\n\
          \n\
          ENVIRONMENT:\n\
@@ -173,12 +174,14 @@ fn cmd_sweep(args: Vec<String>) {
             "--workload" => workload = Some(it.next().expect("--workload needs a name")),
             "--predictors" => predictors = Some(it.next().expect("--predictors needs labels")),
             "--scales" => {
-                scales = it
-                    .next()
-                    .expect("--scales needs a comma-separated list")
-                    .split(',')
-                    .map(|s| s.parse().expect("--scales must be integers"))
-                    .collect();
+                let list = it.next().expect("--scales needs a comma-separated list");
+                scales = match list.split(',').map(parse_scale).collect() {
+                    Ok(scales) => scales,
+                    Err(e) => {
+                        eprintln!("{e}");
+                        std::process::exit(2);
+                    }
+                };
             }
             "--len" => {
                 len = it
@@ -221,20 +224,59 @@ fn cmd_sweep(args: Vec<String>) {
     print!("{}", sweep_report(&spec, &specs, &scales, len).render());
 }
 
-/// Builds the single-pass predictor-sweep report: one table, one row per
-/// predictor, accuracy plus IPC at each pipeline scale.
+/// Parses one pipeline scale factor, rejecting the values
+/// [`PipelineConfig::scaled`] would panic on, so `branch-lab sweep` and
+/// `POST /sweep` both fail before any training starts, with this message.
 ///
-/// Shared by `branch-lab sweep` and the serve-mode `/sweep` endpoint;
-/// the heading format is load-bearing — [`bp_core::Report::render`] of
-/// this report is exactly the CLI's stdout, which is what makes served
-/// sweep responses byte-identical to the CLI.
+/// # Errors
+///
+/// Returns the message naming the valid range.
+pub(crate) fn parse_scale(raw: &str) -> Result<u32, String> {
+    raw.trim()
+        .parse()
+        .ok()
+        .filter(|s| (1..=PipelineConfig::MAX_SCALE).contains(s))
+        .ok_or_else(|| {
+            format!(
+                "bad scale \"{raw}\": must be an integer in 1..={}",
+                PipelineConfig::MAX_SCALE
+            )
+        })
+}
+
+/// One predictor lane of a sweep: a predictor over one (workload, len)
+/// trace. A lane's numbers do not depend on which other lanes shared its
+/// pass, so lanes computed in different passes render identically.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct SweepLane {
+    /// Mispredicted conditional branches.
+    pub mispredicts: u64,
+    /// Conditional branches the predictor saw.
+    pub branches: u64,
+    /// IPC at each requested scale, in request order.
+    pub ipc: Vec<f64>,
+}
+
+/// The lanes of one sweep plus the size of the trace they ran over.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct SweepLanes {
+    /// Instructions in the trace.
+    pub insts: u64,
+    /// Conditional branches in the trace.
+    pub cond_branches: u64,
+    /// One lane per predictor spec, in spec order.
+    pub lanes: Vec<SweepLane>,
+}
+
+/// Trains every spec over `spec`'s trace in one lockstep pass, then
+/// replays all of them at each of `scales`.
 #[must_use]
-pub fn sweep_report(
+pub(crate) fn sweep_lanes(
     spec: &bp_workloads::WorkloadSpec,
     specs: &[PredictorSpec],
     scales: &[u32],
     len: usize,
-) -> bp_core::Report {
+) -> SweepLanes {
     let trace = spec.cached_trace(0, len);
     let mut built: Vec<Box<dyn DirectionPredictor>> =
         specs.iter().map(PredictorSpec::build).collect();
@@ -242,42 +284,85 @@ pub fn sweep_report(
         sweep_flags_stream(&mut built, trace.reader()).expect("in-memory reader cannot fail");
     let base = PipelineConfig::skylake();
     let sweep = SweepReplay::new(&trace, &base);
-    let lanes: Vec<&[bool]> = flags.iter().map(Vec::as_slice).collect();
+    let streams: Vec<&[bool]> = flags.iter().map(Vec::as_slice).collect();
+    let ipc: Vec<Vec<f64>> = scales
+        .iter()
+        .map(|&scale| {
+            sweep
+                .simulate_many(&streams, &base.scaled(scale))
+                .iter()
+                .map(bp_pipeline::SimStats::ipc)
+                .collect()
+        })
+        .collect();
+    let lanes = flags
+        .iter()
+        .enumerate()
+        .map(|(pi, f)| SweepLane {
+            mispredicts: f.iter().filter(|&&m| m).count() as u64,
+            branches: f.len() as u64,
+            ipc: ipc.iter().map(|per_scale| per_scale[pi]).collect(),
+        })
+        .collect();
+    SweepLanes {
+        insts: trace.len() as u64,
+        cond_branches: sweep.cond_branch_count() as u64,
+        lanes,
+    }
+}
+
+/// Renders the single-pass predictor-sweep report from its lanes: one
+/// table, one row per predictor label, accuracy plus IPC at each pipeline
+/// scale.
+///
+/// The heading format is load-bearing: [`bp_core::Report::render`] of
+/// this report is exactly `branch-lab sweep`'s stdout, which is what makes
+/// served sweep responses byte-identical to the CLI.
+#[must_use]
+pub(crate) fn render_sweep(
+    workload: &str,
+    labels: &[String],
+    scales: &[u32],
+    lanes: &SweepLanes,
+) -> bp_core::Report {
     let mut header = vec!["predictor".to_owned(), "accuracy".to_owned()];
     header.extend(scales.iter().map(|s| format!("ipc@{s}x")));
     let mut table = Table::new(header.iter().map(String::as_str).collect());
-    let mut ipc: Vec<Vec<f64>> = Vec::new();
-    for &scale in scales {
-        ipc.push(
-            sweep
-                .simulate_many(&lanes, &base.scaled(scale))
-                .iter()
-                .map(bp_pipeline::SimStats::ipc)
-                .collect(),
-        );
-    }
-    for (pi, pred) in specs.iter().enumerate() {
-        let mispredicts = flags[pi].iter().filter(|&&f| f).count();
-        let total = flags[pi].len().max(1);
+    for (label, lane) in labels.iter().zip(&lanes.lanes) {
         let mut row = vec![
-            pred.label(),
-            format!("{:.3}", 1.0 - mispredicts as f64 / total as f64),
+            label.clone(),
+            format!(
+                "{:.3}",
+                1.0 - lane.mispredicts as f64 / lane.branches.max(1) as f64
+            ),
         ];
-        row.extend(ipc.iter().map(|per_scale| format!("{:.3}", per_scale[pi])));
+        row.extend(lane.ipc.iter().map(|ipc| format!("{ipc:.3}")));
         table.row(row);
     }
     let mut report = bp_core::Report::new();
     report.section(
         format!(
-            "sweep: {} ({} insts, {} conditional branches, one replay pass)",
-            spec.name,
-            trace.len(),
-            sweep.cond_branch_count()
+            "sweep: {workload} ({} insts, {} conditional branches, one replay pass)",
+            lanes.insts, lanes.cond_branches
         ),
         "sweep",
         table,
     );
     report
+}
+
+/// The sweep report of `branch-lab sweep`: every lane computed in one
+/// pass, then rendered. `POST /sweep` renders the same report from lanes
+/// it partly reuses.
+#[must_use]
+pub fn sweep_report(
+    spec: &bp_workloads::WorkloadSpec,
+    specs: &[PredictorSpec],
+    scales: &[u32],
+    len: usize,
+) -> bp_core::Report {
+    let labels: Vec<String> = specs.iter().map(PredictorSpec::label).collect();
+    render_sweep(&spec.name, &labels, scales, &sweep_lanes(spec, specs, scales, len))
 }
 
 /// The `branch-lab` binary's entry point.
@@ -305,6 +390,45 @@ pub fn main() {
         other => {
             eprintln!("unknown command '{other}'; try `branch-lab help`");
             std::process::exit(2);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const LEN: usize = 20_000;
+
+    #[test]
+    fn lanes_do_not_depend_on_the_lanes_sharing_their_pass() {
+        let workload = find_workload("streaming").unwrap();
+        let specs = PredictorSpec::parse_list("tage-sc-l-8kb,ppm,perceptron").unwrap();
+        let scales = [1, 8];
+        let solo: Vec<SweepLanes> = specs
+            .iter()
+            .map(|s| sweep_lanes(&workload, std::slice::from_ref(s), &scales, LEN))
+            .collect();
+        for (i, a) in specs.iter().enumerate() {
+            for (j, b) in specs.iter().enumerate().skip(i + 1) {
+                let pair = sweep_lanes(&workload, &[*a, *b], &scales, LEN);
+                assert_eq!(pair.lanes, [solo[i].lanes[0].clone(), solo[j].lanes[0].clone()]);
+                assert_eq!(
+                    (pair.insts, pair.cond_branches),
+                    (solo[i].insts, solo[i].cond_branches)
+                );
+                // So a report rendered from lanes of separate passes is
+                // the one-pass report, byte for byte.
+                let labels = [a.label(), b.label()];
+                let joined = SweepLanes {
+                    lanes: vec![solo[i].lanes[0].clone(), solo[j].lanes[0].clone()],
+                    ..solo[j].clone()
+                };
+                assert_eq!(
+                    render_sweep(&workload.name, &labels, &scales, &joined).render(),
+                    sweep_report(&workload, &[*a, *b], &scales, LEN).render()
+                );
+            }
         }
     }
 }

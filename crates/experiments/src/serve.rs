@@ -33,29 +33,35 @@
 //! (`miss` = executed now, `hit` / `hit-disk` = served from cache,
 //! `join` = coalesced onto a concurrent identical request).
 //!
+//! A `/sweep` miss trains and replays only the lanes (one predictor over
+//! one workload trace) its service has not computed before; the rest come
+//! from a memory-only lane store (DESIGN.md "Serving").
+//!
 //! Counters: `serve.exec` (studies actually executed), `serve.dedup_join`
 //! (requests coalesced onto an in-flight execution),
-//! `serve.deadline_expired` (requests answered 504), plus the
-//! `serve.request` / `serve.http_error` / `serve.cache.*` families from
-//! the substrate.
+//! `serve.deadline_expired` (requests answered 504), `serve.lane.*` (lane
+//! store hits, computed lanes and evictions), plus the `serve.request` /
+//! `serve.http_error` / `serve.cache.*` families from the substrate. The
+//! `serve.exec` stage timer covers the executed work.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use bp_core::cancel::CancelToken;
 use bp_core::exec::{self, ExecOptions, Outcome, Task};
-use bp_core::serve::cache::{CacheEntry, CacheKey, ResultCache, Tier};
+use bp_core::serve::cache::{CacheEntry, CacheKey, Lru, ResultCache, Tier};
 use bp_core::serve::http::{Request, Response};
 use bp_core::serve::{Flight, Handler, Server, Singleflight};
 use bp_core::{DatasetConfig, SamplingConfig, StudyCtx, StudyKind, StudyRegistry};
 use bp_metrics::json::{self, Value};
 use bp_metrics::{Counter, CounterBaseline};
 use bp_predictors::PredictorSpec;
-use bp_workloads::{find_workload, suite_digest, workload_names};
+use bp_workloads::{find_workload, suite_digest, workload_names, WorkloadSpec};
 
-use crate::{cli, registry, Cli};
+use crate::cli::{self, SweepLane, SweepLanes};
+use crate::{registry, Cli};
 
 /// Default listen address when neither `--addr` nor
 /// `BRANCH_LAB_SERVE_ADDR` is set.
@@ -391,7 +397,7 @@ impl SweepRequest {
         } else {
             scales_raw
                 .iter()
-                .map(|s| s.parse().map_err(|_| format!("bad scale \"{s}\": must be an integer")))
+                .map(|s| cli::parse_scale(s))
                 .collect::<Result<Vec<u32>, _>>()?
         };
         let len = field_u64(&obj, "len")?.map_or(200_000, |n| n as usize);
@@ -402,12 +408,197 @@ impl SweepRequest {
     }
 }
 
+/// One lane of the lane store: a predictor (canonical label) over the
+/// `len`-instruction trace of a workload.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct LaneKey {
+    workload: String,
+    len: usize,
+    label: String,
+}
+
+/// A stored lane: its trace's size, its accuracy, and its IPC at every
+/// scale computed so far.
+struct LaneRow {
+    insts: u64,
+    cond_branches: u64,
+    mispredicts: u64,
+    branches: u64,
+    ipc: Vec<(u32, f64)>,
+}
+
+impl LaneRow {
+    /// The lane at `scales`, or `None` if any scale is missing.
+    fn lane(&self, scales: &[u32]) -> Option<SweepLane> {
+        let ipc = scales
+            .iter()
+            .map(|s| self.ipc.iter().find(|(t, _)| t == s).map(|&(_, v)| v))
+            .collect::<Option<Vec<f64>>>()?;
+        Some(SweepLane { mispredicts: self.mispredicts, branches: self.branches, ipc })
+    }
+
+    /// Bytes the store holds for this row under `key`; the key is held
+    /// twice, in the map and in the recency order.
+    fn resident_bytes(&self, key: &LaneKey) -> u64 {
+        let key_bytes = std::mem::size_of::<LaneKey>() + key.workload.len() + key.label.len();
+        (2 * key_bytes
+            + std::mem::size_of::<LaneRow>()
+            + self.ipc.len() * std::mem::size_of::<(u32, f64)>()) as u64
+    }
+}
+
+/// Lane-store counts of one [`StudyService`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LaneStats {
+    /// Requested lanes found in the store at every requested scale.
+    pub hit: u64,
+    /// Lanes trained and replayed (once per distinct missing lane).
+    pub computed: u64,
+    /// Lanes evicted to stay within the byte budget.
+    pub evicted: u64,
+}
+
+#[derive(Default)]
+struct LaneState {
+    rows: HashMap<LaneKey, LaneRow>,
+    lru: Lru<LaneKey>,
+    stats: LaneStats,
+}
+
+/// Memory-only store of computed sweep lanes, so a `/sweep` miss trains
+/// and replays only the lanes no earlier request computed. A lane's
+/// numbers are independent of the other lanes in its pass, so a body
+/// assembled from stored lanes is byte-identical to the CLI's.
+struct LaneStore {
+    state: Mutex<LaneState>,
+    budget: Option<u64>,
+    m_hit: Counter,
+    m_computed: Counter,
+    m_evict: Counter,
+}
+
+impl LaneStore {
+    fn new(budget: Option<u64>) -> LaneStore {
+        LaneStore {
+            state: Mutex::new(LaneState::default()),
+            budget,
+            m_hit: Counter::get("serve.lane.hit"),
+            m_computed: Counter::get("serve.lane.computed"),
+            m_evict: Counter::get("serve.lane.evict"),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, LaneState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The sweep report for `specs` over `spec`'s `len`-instruction trace:
+    /// stored lanes are reused, the rest are computed in one lockstep
+    /// pass (two concurrent misses may both compute a new lane; they
+    /// store the identical row).
+    fn sweep_report(
+        &self,
+        spec: &WorkloadSpec,
+        specs: &[PredictorSpec],
+        scales: &[u32],
+        len: usize,
+    ) -> bp_core::Report {
+        let labels: Vec<String> = specs.iter().map(PredictorSpec::label).collect();
+        let key = |label: &str| LaneKey {
+            workload: spec.name.clone(),
+            len,
+            label: label.to_owned(),
+        };
+        let mut size = None;
+        let mut lanes: Vec<Option<SweepLane>> = labels
+            .iter()
+            .map(|label| {
+                let (trace, lane) = self.lookup(key(label), scales)?;
+                size = Some(trace);
+                Some(lane)
+            })
+            .collect();
+        let mut todo: Vec<(String, PredictorSpec)> = Vec::new();
+        for ((label, spec), lane) in labels.iter().zip(specs).zip(&lanes) {
+            if lane.is_none() && todo.iter().all(|(l, _)| l != label) {
+                todo.push((label.clone(), *spec));
+            }
+        }
+        if !todo.is_empty() {
+            let todo_specs: Vec<PredictorSpec> = todo.iter().map(|&(_, s)| s).collect();
+            let fresh = cli::sweep_lanes(spec, &todo_specs, scales, len);
+            size = Some((fresh.insts, fresh.cond_branches));
+            for ((label, _), lane) in todo.iter().zip(&fresh.lanes) {
+                for (slot, _) in lanes.iter_mut().zip(&labels).filter(|(_, l)| *l == label) {
+                    slot.get_or_insert_with(|| lane.clone());
+                }
+                self.store(key(label), &fresh, lane, scales);
+            }
+        }
+        let (insts, cond_branches) = size.expect("a sweep names at least one predictor");
+        let lanes = SweepLanes {
+            insts,
+            cond_branches,
+            lanes: lanes.into_iter().map(|l| l.expect("every lane found or computed")).collect(),
+        };
+        cli::render_sweep(&spec.name, &labels, scales, &lanes)
+    }
+
+    /// The stored lane under `key` at every one of `scales`, with its
+    /// trace's instruction and conditional-branch counts.
+    fn lookup(&self, key: LaneKey, scales: &[u32]) -> Option<((u64, u64), SweepLane)> {
+        let mut state = self.lock();
+        let state = &mut *state;
+        let row = state.rows.get(&key)?;
+        let found = ((row.insts, row.cond_branches), row.lane(scales)?);
+        let bytes = row.resident_bytes(&key);
+        state.lru.note_use(key, bytes, self.budget);
+        state.stats.hit += 1;
+        self.m_hit.incr();
+        Some(found)
+    }
+
+    /// Stores (or extends with new scales) one computed lane, evicting the
+    /// coldest lanes to stay within the budget. A lane larger than the
+    /// whole budget is not stored.
+    fn store(&self, key: LaneKey, fresh: &SweepLanes, lane: &SweepLane, scales: &[u32]) {
+        let mut state = self.lock();
+        let state = &mut *state;
+        state.stats.computed += 1;
+        self.m_computed.incr();
+        let row = state.rows.entry(key.clone()).or_insert_with(|| LaneRow {
+            insts: fresh.insts,
+            cond_branches: fresh.cond_branches,
+            mispredicts: lane.mispredicts,
+            branches: lane.branches,
+            ipc: Vec::new(),
+        });
+        for (&scale, &ipc) in scales.iter().zip(&lane.ipc) {
+            if row.ipc.iter().all(|&(s, _)| s != scale) {
+                row.ipc.push((scale, ipc));
+            }
+        }
+        let bytes = row.resident_bytes(&key);
+        state.lru.forget(&key);
+        if self.budget.is_some_and(|b| bytes > b) {
+            state.rows.remove(&key);
+            return;
+        }
+        for cold in state.lru.note_use(key, bytes, self.budget) {
+            state.rows.remove(&cold);
+            state.stats.evicted += 1;
+            self.m_evict.incr();
+        }
+    }
+}
+
 /// The serve-mode request handler: registry dispatch in front of the
 /// content-addressed cache, with singleflight coalescing and executor
 /// deadlines.
 pub struct StudyService {
     registry: StudyRegistry,
     cache: ResultCache,
+    lanes: LaneStore,
     flights: Singleflight<(Arc<CacheEntry>, bool)>,
     default_deadline: Option<Duration>,
     m_exec: Counter,
@@ -428,12 +619,19 @@ impl StudyService {
         StudyService {
             registry,
             cache: ResultCache::new(cache_dir, cache_budget),
+            lanes: LaneStore::new(cache_budget),
             flights: Singleflight::new(),
             default_deadline,
             m_exec: Counter::get("serve.exec"),
             m_join: Counter::get("serve.dedup_join"),
             m_deadline: Counter::get("serve.deadline_expired"),
         }
+    }
+
+    /// This service's lane-store counts.
+    #[must_use]
+    pub fn lane_stats(&self) -> LaneStats {
+        self.lanes.lock().stats
     }
 
     /// Serves `key` from cache, or coalesces onto / leads one execution
@@ -466,7 +664,7 @@ impl StudyService {
                 Ok(())
             });
             let opts = ExecOptions { deadline, ..ExecOptions::default() };
-            let report = exec::run(vec![task], &opts)
+            let report = bp_metrics::time("serve.exec", || exec::run(vec![task], &opts))
                 .pop()
                 .expect("one task in, one report out");
             match report.outcome {
@@ -556,9 +754,10 @@ impl StudyService {
         let labels: Vec<String> = parsed.specs.iter().map(PredictorSpec::label).collect();
         let key = sweep_key(&spec.name, &labels, &parsed.scales, parsed.len);
         let SweepRequest { specs, scales, len, deadline, .. } = parsed;
+        let lanes = &self.lanes;
         self.dispatch(key, "sweep", deadline, move |_token| {
             let baseline = CounterBaseline::take();
-            let report = cli::sweep_report(&spec, &specs, &scales, len);
+            let report = lanes.sweep_report(&spec, &specs, &scales, len);
             let body = report.render().into_bytes();
             let mut info = BTreeMap::new();
             info.insert("workload".to_owned(), spec.name.clone());
@@ -755,6 +954,12 @@ mod tests {
         assert_eq!(a.scales, vec![1, 4]);
         assert_eq!(b.scales, a.scales);
         assert_eq!(a.len, 200_000);
+        for bad in ["0", "65", "-1", "x"] {
+            let body =
+                format!("{{\"workload\": \"w\", \"predictors\": \"gshare\", \"scales\": \"1,{bad}\"}}");
+            let err = SweepRequest::parse(body.as_bytes()).unwrap_err();
+            assert_eq!(err, format!("bad scale \"{bad}\": must be an integer in 1..=64"));
+        }
     }
 
     #[test]
@@ -804,6 +1009,75 @@ mod tests {
         // Sampling knobs without `enabled` stay latent — same key as off.
         let latent = SamplingConfig { interval_len: Some(12_345), ..off };
         assert_eq!(full, study_key("sampled", &dataset, &[], &latent));
+    }
+
+    #[test]
+    fn lane_store_stays_within_its_budget_and_stays_exact() {
+        let workload = find_workload("streaming").unwrap();
+        let (scales, len) = ([1, 4], 20_000);
+        let specs = PredictorSpec::parse_list("gshare,bimodal,tournament").unwrap();
+        // Room for two of these lanes, not three.
+        let probe = LaneRow {
+            insts: 0,
+            cond_branches: 0,
+            mispredicts: 0,
+            branches: 0,
+            ipc: vec![(1, 0.0); 2],
+        };
+        let key = |label: String| LaneKey { workload: workload.name.clone(), len, label };
+        let budget = 2 * probe.resident_bytes(&key("tournament".to_owned())) + 8;
+        let store = LaneStore::new(Some(budget));
+        for round in 0..2 {
+            for spec in &specs {
+                let one = std::slice::from_ref(spec);
+                assert_eq!(
+                    store.sweep_report(&workload, one, &scales, len).render(),
+                    cli::sweep_report(&workload, one, &scales, len).render(),
+                    "round {round}, {}",
+                    spec.label()
+                );
+                let state = store.lock();
+                assert!(state.lru.resident() <= budget);
+                assert!(state.rows.len() <= 2);
+            }
+        }
+        let stats = store.lock().stats;
+        // Cycling three lanes through room for two evicts each before reuse.
+        assert_eq!(stats, LaneStats { hit: 0, computed: 6, evicted: 4 });
+        // A budget smaller than one lane stores nothing, and still answers.
+        let tiny = LaneStore::new(Some(1));
+        let pair = &specs[..2];
+        assert_eq!(
+            tiny.sweep_report(&workload, pair, &scales, len).render(),
+            cli::sweep_report(&workload, pair, &scales, len).render()
+        );
+        assert!(tiny.lock().rows.is_empty());
+    }
+
+    #[test]
+    fn executed_work_is_timed_and_lane_lookups_are_counted() {
+        bp_metrics::force_enable();
+        let service = StudyService::new(registry::registry(), None, None, None);
+        let read = |name: &str, snap: Vec<(String, u64)>| {
+            snap.into_iter().find(|(n, _)| n == name).map_or(0, |(_, v)| v)
+        };
+        let exec_ns = read("serve.exec", bp_metrics::snapshot_timers());
+        let hits = read("serve.lane.hit", bp_metrics::snapshot_counters());
+        let sweep = |predictors: &str| Request {
+            method: "POST".to_owned(),
+            path: "/sweep".to_owned(),
+            query: String::new(),
+            headers: Vec::new(),
+            body: format!(
+                "{{\"workload\": \"streaming\", \"predictors\": \"{predictors}\", \"len\": 24000}}"
+            )
+            .into_bytes(),
+        };
+        assert_eq!(service.handle(&sweep("gshare")).status, 200);
+        assert_eq!(service.handle(&sweep("gshare,bimodal")).status, 200);
+        assert!(read("serve.exec", bp_metrics::snapshot_timers()) > exec_ns);
+        assert!(read("serve.lane.hit", bp_metrics::snapshot_counters()) > hits);
+        assert_eq!(service.lane_stats(), LaneStats { hit: 1, computed: 2, evicted: 0 });
     }
 
     #[test]

@@ -157,6 +157,28 @@ fn sweep_runs_a_single_pass_over_one_workload() {
 }
 
 #[test]
+fn sweep_rejects_out_of_range_scales_before_training() {
+    for scale in ["0", "65"] {
+        let out = run_cli(&[
+            "sweep",
+            "--workload",
+            "streaming",
+            "--predictors",
+            "gshare",
+            "--scales",
+            &format!("1,{scale}"),
+        ]);
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("bad scale \"{scale}\": must be an integer in 1..=64")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty());
+    }
+}
+
+#[test]
 fn help_is_the_single_flag_surface() {
     let out = run_cli(&["help"]);
     assert!(out.status.success());

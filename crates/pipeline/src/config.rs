@@ -49,10 +49,10 @@ impl PipelineConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `factor` is zero or greater than 64.
+    /// Panics if `factor` is zero or greater than [`Self::MAX_SCALE`].
     #[must_use]
     pub fn scaled(&self, factor: u32) -> Self {
-        assert!((1..=64).contains(&factor), "scale factor must be 1..=64");
+        assert!((1..=Self::MAX_SCALE).contains(&factor), "scale factor must be 1..=64");
         PipelineConfig {
             fetch_width: self.fetch_width * factor,
             retire_width: self.retire_width * factor,
@@ -66,6 +66,9 @@ impl PipelineConfig {
 
     /// The scaling factors measured in the paper (Figs. 1, 5, 7).
     pub const SCALES: [u32; 6] = [1, 2, 4, 8, 16, 32];
+
+    /// The largest factor [`Self::scaled`] accepts.
+    pub const MAX_SCALE: u32 = 64;
 }
 
 impl Default for PipelineConfig {

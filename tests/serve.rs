@@ -16,8 +16,10 @@ use std::sync::Arc;
 use bp_core::serve::cache::CacheKey;
 use bp_core::serve::Server;
 use bp_core::{DatasetConfig, SamplingConfig, StudyCtx};
-use bp_experiments::serve::{study_key, sweep_key, StudyService};
-use bp_experiments::{registry, Cli};
+use bp_experiments::serve::{study_key, sweep_key, LaneStats, StudyService};
+use bp_experiments::{cli, registry, Cli};
+use bp_predictors::PredictorSpec;
+use bp_workloads::find_workload;
 
 /// A served response, parsed just enough for assertions.
 struct Reply {
@@ -302,4 +304,65 @@ fn corrupt_disk_entries_quarantine_and_regenerate_across_instances() {
     server.shutdown();
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sweep_misses_reuse_stored_lanes_byte_identically() {
+    let service = Arc::new(StudyService::new(registry::registry(), None, None, None));
+    let server = Server::bind("127.0.0.1:0", 4, service.clone()).expect("bind ephemeral port");
+    let addr = server.local_addr();
+    let workload = find_workload("streaming").unwrap();
+    let len = 23_000;
+    // (predictors, scales, lane hits and lanes computed after the request)
+    let sequence: [(&str, &[u32], u64, u64); 5] = [
+        ("tage-sc-l-8kb", &[1], 0, 1),
+        ("perceptron", &[1], 0, 2),
+        // Both lanes are stored: new keys, but no lane is computed.
+        ("tage-sc-l-8kb,perceptron", &[1], 2, 2),
+        ("perceptron,tage-sc-l-8kb", &[1], 4, 2),
+        // The stored lane lacks scale 8, so only it is computed again.
+        ("tage-sc-l-8kb", &[1, 8], 4, 3),
+    ];
+    for (predictors, scales, hit, computed) in sequence {
+        let scale_list: Vec<String> = scales.iter().map(ToString::to_string).collect();
+        let body = format!(
+            r#"{{"workload": "streaming", "predictors": "{predictors}", "scales": [{}], "len": {len}}}"#,
+            scale_list.join(", ")
+        );
+        let reply = request(addr, "POST", "/sweep", &body);
+        assert_eq!(reply.status, 200, "{}", String::from_utf8_lossy(&reply.body));
+        assert_eq!(reply.cache, "miss", "{predictors} {scales:?}");
+        let specs = PredictorSpec::parse_list(predictors).unwrap();
+        let expected = cli::sweep_report(&workload, &specs, scales, len).render();
+        assert_eq!(
+            String::from_utf8_lossy(&reply.body),
+            expected,
+            "{predictors} {scales:?}: served body != CLI render"
+        );
+        let stats = service.lane_stats();
+        assert_eq!(
+            (stats.hit, stats.computed),
+            (hit, computed),
+            "lane counts after {predictors} {scales:?}"
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn out_of_range_scales_are_rejected_before_any_work() {
+    let service = Arc::new(StudyService::new(registry::registry(), None, None, None));
+    let server = Server::bind("127.0.0.1:0", 2, service.clone()).expect("bind ephemeral port");
+    let addr = server.local_addr();
+    for scale in ["0", "65"] {
+        let body = format!(
+            r#"{{"workload": "streaming", "predictors": ["gshare"], "scales": ["{scale}"], "len": 20000}}"#
+        );
+        let reply = request(addr, "POST", "/sweep", &body);
+        assert_eq!(reply.status, 400, "scale {scale}");
+        let text = String::from_utf8(reply.body).unwrap();
+        assert!(text.contains("must be an integer in 1..=64"), "{text}");
+    }
+    assert_eq!(service.lane_stats(), LaneStats::default(), "nothing was trained");
+    server.shutdown();
 }
